@@ -41,9 +41,7 @@ from .linalg import (
     Spectrum,
     eigen_spectrum,
     mat_det,
-    mat_exp,
     mat_inv,
-    mat_mul,
     mat_norm,
     spectral_projectors,
 )

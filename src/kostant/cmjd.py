@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from .errors import NotHyperbolic, NotUnipotent, Singular
 from .linalg import (
@@ -19,7 +20,6 @@ from .linalg import (
     as_matrix,
     eigen_spectrum,
     identity_like,
-    mat_exp,
     mat_norm,
     spectral_projectors,
     to_complex,
@@ -197,6 +197,8 @@ def verify_exp_log(triple: CmjdTriple, tol: float = DEFAULT_TOL) -> dict[str, fl
     u = triple.unipotent
     h = triple.hyperbolic
     return {
-        "unipotent": mat_norm(mat_exp(unipotent_log(u, tol)) - to_complex(u)),
-        "hyperbolic": mat_norm(mat_exp(hyperbolic_log(h, tol)) - to_complex(h)),
+        "unipotent": mat_norm(
+            expm(to_complex(unipotent_log(u, tol))) - to_complex(u)),
+        "hyperbolic": mat_norm(
+            expm(to_complex(hyperbolic_log(h, tol))) - to_complex(h)),
     }

@@ -179,13 +179,6 @@ def to_complex(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def mat_mul(a, b) -> np.ndarray:
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"non-conformable shapes {a.shape} x {b.shape}")
-    return a @ b
-
-
 def mat_norm(a, ord="fro") -> float:
     a = np.asarray(a)
     if a.dtype == object:
@@ -208,36 +201,6 @@ def mat_inv(a, threshold: float = SINGULARITY_THRESHOLD) -> np.ndarray:
     if sv[0] == 0 or sv[-1] <= threshold * sv[0]:
         raise Singular(f"matrix is singular at threshold {threshold:g}")
     return np.linalg.inv(m)
-
-
-def mat_exp(a, rtol: float = 1e-15) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring of the power series.
-
-    exp(A) = (exp(A / 2^s))^(2^s) with s chosen so the scaled norm is at
-    most 1/2; the Taylor series of the scaled block is summed until the
-    term norm drops below rtol * (partial sum norm). Truncating after K
-    terms leaves a remainder bounded by e * ||B||^(K+1) / (K+1)! with
-    ||B|| <= 1/2, so a handful of terms reach double precision.
-    """
-    m = to_complex(a)
-    n = m.shape[0]
-    norm = mat_norm(m)
-    s = 0
-    if norm > 0.5:
-        s = max(0, int(math.ceil(math.log2(norm / 0.5))))
-    b = m / (2.0 ** s)
-    result = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
-    for k in range(1, 64):
-        term = term @ b / k
-        result = result + term
-        if mat_norm(term) <= rtol * mat_norm(result):
-            break
-    else:
-        raise NonConvergence("matrix exponential series did not converge")
-    for _ in range(s):
-        result = result @ result
-    return result
 
 
 # --- spectra and projectors --------------------------------------------------

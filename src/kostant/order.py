@@ -10,8 +10,14 @@ prefix functionals (or separating characters) certifying failure.
 
 Comparison policy: exact inputs (Fractions) are compared exactly; float
 comparisons use a relative slack and treat in-band differences as ties.
-Strict separations required by the witness search re-run ambiguous
-comparisons in exact rational arithmetic (binary floats are rationals).
+Every prefix test (majorize_additive, majorize_multiplicative,
+kostant_compare, permutohedron_certificate, find_separating_character)
+reads the per-level comparisons of one kernel, _prefix_cmp, over running
+sums, or running products for exact multiplicative input; each caller
+supplies its own scale and slack. The witness search scans h_m degrees
+with the one float h_m recurrence of symchar (_h_scan), and settles
+in-band h_m comparisons exactly under one tie rule (_h_sign); binary
+floats are rationals.
 """
 
 from __future__ import annotations
@@ -19,9 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-
-import numpy as np
+from itertools import accumulate, permutations
+from operator import add, mul, sub
 
 from .errors import (
     DimensionCap,
@@ -39,8 +44,12 @@ from .symchar import (
     Sym,
     _as_moduli,
     _h_exact,
-    _h_log,
+    _h_scan,
+    _is_exact,
+    _last,
+    _scaled_to_log,
     complete_homogeneous,
+    complete_homogeneous_log,
     rep_dim,
     rep_moduli,
 )
@@ -51,10 +60,6 @@ GEQ = "GEQ"
 LEQ = "LEQ"
 EQUAL = "EQUAL"
 INCOMPARABLE = "INCOMPARABLE"
-
-
-def _is_exact(v) -> bool:
-    return isinstance(v, (int, Fraction))
 
 
 def _cmp(a, b, scale=None, slack: float = REL_SLACK) -> int:
@@ -68,6 +73,21 @@ def _cmp(a, b, scale=None, slack: float = REL_SLACK) -> int:
     if abs(fa - fb) <= slack * scale:
         return 0
     return 1 if fa > fb else -1
+
+
+def _prefix_cmp(xs, ys, scale=None, slack: float = REL_SLACK, op=add) -> list[int]:
+    """Three-way comparisons of the running sums (or products, op=mul) of
+    xs and ys at each prefix level k = 1..len(xs): the one
+    prefix-dominance kernel. Exact when both sides are rational; else, as
+    in _cmp, differences within slack * scale (required) are ties.
+    """
+    px, py = list(accumulate(xs, op)), list(accumulate(ys, op))
+    if not px or (_is_exact(px[-1]) and _is_exact(py[-1])):
+        return [(a > b) - (a < b) for a, b in zip(px, py)]
+    band = slack * scale
+    # a NaN difference fails the level, as in _cmp
+    return [(d > band) - (not d >= -band)
+            for d in map(sub, map(float, px), map(float, py))]
 
 
 # --- domain types -------------------------------------------------------------
@@ -209,18 +229,20 @@ def majorize_additive(x, y, *, weak: bool = False, slack: float = REL_SLACK) -> 
     xs, ys = _sorted_values(x), _sorted_values(y)
     if len(xs) != len(ys):
         raise LengthMismatch(f"lengths {len(xs)} != {len(ys)}")
-    scale = float(sum(abs(float(v)) for v in xs) +
-                  sum(abs(float(v)) for v in ys)) or 1.0
-    px = py = 0
-    for k in range(len(xs)):
-        px = px + xs[k]
-        py = py + ys[k]
-        if k < len(xs) - 1 or weak:
-            if _cmp(px, py, scale, slack) < 0:
-                return False
+    levels = _prefix_cmp(xs, ys, _abs_scale(xs, ys), slack)
     if weak:
-        return True
-    return _cmp(px, py, scale, slack) == 0
+        return min(levels) >= 0
+    return _majorizes(levels)
+
+
+def _majorizes(levels: list[int]) -> bool:
+    """Every proper prefix at least as large, and equal totals."""
+    return min(levels[:-1], default=0) >= 0 and levels[-1] == 0
+
+
+def _abs_scale(xs, ys) -> float:
+    return float(sum(abs(float(v)) for v in xs) +
+                 sum(abs(float(v)) for v in ys)) or 1.0
 
 
 def majorize_multiplicative(x, y, *, slack: float = REL_SLACK) -> bool:
@@ -233,17 +255,9 @@ def majorize_multiplicative(x, y, *, slack: float = REL_SLACK) -> bool:
     if xv.n != yv.n:
         raise LengthMismatch(f"lengths {xv.n} != {yv.n}")
     if xv.exact and yv.exact:
-        px, py = Fraction(1), Fraction(1)
-        for k in range(xv.n):
-            px *= xv.values[k]
-            py *= yv.values[k]
-            if k < xv.n - 1:
-                if px < py:
-                    return False
-        return px == py
-    lx = LogVector.from_values(xv.log_values())
-    ly = LogVector.from_values(yv.log_values())
-    return majorize_additive(lx, ly, slack=slack)
+        return _majorizes(_prefix_cmp(xv.values, yv.values, op=mul))
+    return majorize_additive(LogVector(xv.log_values()),
+                             LogVector(yv.log_values()), slack=slack)
 
 
 def kostant_compare(x, y, *, slack: float = REL_SLACK) -> OrderVerdict:
@@ -257,10 +271,11 @@ def kostant_compare(x, y, *, slack: float = REL_SLACK) -> OrderVerdict:
     xv, yv = _as_moduli(x), _as_moduli(y)
     if xv.n != yv.n:
         raise LengthMismatch(f"lengths {xv.n} != {yv.n}")
-    n = xv.n
-    if n == 1:
-        return OrderVerdict(EQUAL)
-    comparisons = _normalized_prefix_comparisons(xv, yv, slack)
+    return _verdict(_normalized_prefix_comparisons(xv, yv, slack))
+
+
+def _verdict(comparisons: list[int]) -> OrderVerdict:
+    """The relation read off the per-level comparisons of x against y."""
     geq = all(c >= 0 for c in comparisons)
     leq = all(c <= 0 for c in comparisons)
     if geq and leq:
@@ -275,34 +290,23 @@ def _normalized_prefix_comparisons(xv: ModuliVector, yv: ModuliVector,
                                    slack: float) -> list[int]:
     """Three-way comparisons of normalized prefix products, k = 1..n-1.
 
-    Comparing P_k(x) / (P_n(x))^(k/n) against the same for y is done in
-    the scale-invariant integer-power form P_k(x)^n P_n(y)^k vs
-    P_k(y)^n P_n(x)^k (exact mode) or on centered log prefixes (float).
+    Comparing P_k(x) / P(x)^(k/n) against the same for y, with P(x) the
+    product of all moduli, is done on running products of x_i^n / P(x)
+    (exact mode; P_k(x)^n / P(x)^k) or on running sums of centered logs
+    (float).
     """
     n = xv.n
     if xv.exact and yv.exact:
-        out = []
-        px, py = Fraction(1), Fraction(1)
-        total_x = xv.product()
-        total_y = yv.product()
-        for k in range(1, n):
-            px *= xv.values[k - 1]
-            py *= yv.values[k - 1]
-            lhs = px ** n * total_y ** k
-            rhs = py ** n * total_x ** k
-            out.append((lhs > rhs) - (lhs < rhs))
-        return out
+        total_x, total_y = xv.product(), yv.product()
+        return _prefix_cmp([v ** n / total_x for v in xv.values[:-1]],
+                           [v ** n / total_y for v in yv.values[:-1]], op=mul)
     lx, ly = xv.log_values(), yv.log_values()
     mean_x = sum(lx) / n
     mean_y = sum(ly) / n
-    scale = sum(abs(v - mean_x) for v in lx) + sum(abs(v - mean_y) for v in ly) or 1.0
-    out = []
-    sx = sy = 0.0
-    for k in range(1, n):
-        sx += lx[k - 1] - mean_x
-        sy += ly[k - 1] - mean_y
-        out.append(_cmp(sx, sy, scale, slack))
-    return out
+    cx = [v - mean_x for v in lx]
+    cy = [v - mean_y for v in ly]
+    scale = sum(map(abs, cx)) + sum(map(abs, cy)) or 1.0
+    return _prefix_cmp(cx[:-1], cy[:-1], scale, slack)
 
 
 # --- permutohedron certificates ---------------------------------------------------
@@ -321,21 +325,15 @@ def permutohedron_certificate(x, y, *, slack: float = REL_SLACK):
     ly = y if isinstance(y, LogVector) else LogVector.from_values(_sorted_values(y))
     if lx.n != ly.n:
         raise LengthMismatch(f"lengths {lx.n} != {ly.n}")
-    scale = float(sum(abs(float(v)) for v in lx.values) +
-                  sum(abs(float(v)) for v in ly.values)) or 1.0
-    total_x = sum(lx.values)
-    total_y = sum(ly.values)
-    if _cmp(total_x, total_y, scale, slack) != 0:
-        raise SumMismatch(f"totals differ: {total_x} vs {total_y}")
-
-    # first failing prefix level, if any
-    px = py = 0
-    for k in range(1, lx.n):
-        px = px + lx.values[k - 1]
-        py = py + ly.values[k - 1]
-        if _cmp(px, py, scale, slack) < 0:
-            return SeparatingFunctional(
-                k=k, margin=py - px, hull_max=px, value_at_y=py)
+    scale = _abs_scale(lx.values, ly.values)
+    levels = _prefix_cmp(lx.values, ly.values, scale, slack)
+    if levels[-1] != 0:
+        raise SumMismatch(f"totals differ: {sum(lx.values)} vs {sum(ly.values)}")
+    failing = next((k for k, c in enumerate(levels[:-1], start=1) if c < 0), None)
+    if failing is not None:
+        px, py = sum(lx.values[:failing]), sum(ly.values[:failing])
+        return SeparatingFunctional(
+            k=failing, margin=py - px, hull_max=px, value_at_y=py)
 
     steps = _hlp_steps(list(lx.values), list(ly.values), scale)
     return TTransformCertificate(steps=tuple(steps), start=lx, end=ly)
@@ -501,67 +499,42 @@ EXACT_TIE_DEGREE_LIMIT = 2000
 
 
 def _h_cmp(m: int, cv: ModuliVector, dv: ModuliVector, slack: float) -> int:
-    """Three-way compare of h_m(cv) vs h_m(dv), exact on float ties.
+    """Three-way compare of h_m(cv) vs h_m(dv), exact on float ties."""
+    return _h_sign(m, complete_homogeneous_log(m, cv),
+                   complete_homogeneous_log(m, dv), cv, dv, slack)
 
-    Exact resolution is skipped above EXACT_TIE_DEGREE_LIMIT for float
-    inputs (the rationals there are astronomically large); the in-band
-    result is then reported as a tie.
+
+def _h_sign(m: int, log_c: float, log_d: float, cv: ModuliVector,
+            dv: ModuliVector, slack: float) -> int:
+    """The tie rule for h_m(cv) vs h_m(dv), given their logs.
+
+    Outside a relative band of 100 * slack the logs decide. Inside it the
+    exact values do, except above EXACT_TIE_DEGREE_LIMIT for float inputs
+    (the rationals there are astronomically large), where the in-band
+    result is reported as a tie.
     """
-    hc = _h_log(m, cv.as_floats())
-    hd = _h_log(m, dv.as_floats())
-    scale = max(abs(hc), abs(hd), 1.0)
-    if abs(hc - hd) > 100 * slack * scale:
-        return 1 if hc > hd else -1
+    scale = max(abs(log_c), abs(log_d), 1.0)
+    if abs(log_c - log_d) > 100 * slack * scale:
+        return 1 if log_c > log_d else -1
     if not (cv.exact and dv.exact) and m > EXACT_TIE_DEGREE_LIMIT:
         return 0
-    exact_c = _h_exact(m, cv.as_fractions())
-    exact_d = _h_exact(m, dv.as_fractions())
+    exact_c = _last(_h_exact(cv.as_fractions(), m))
+    exact_d = _last(_h_exact(dv.as_fractions(), m))
     return (exact_c > exact_d) - (exact_c < exact_d)
 
 
 def _least_separating_degree(cv: ModuliVector, dv: ModuliVector,
                              m_stop: int, slack: float) -> int | None:
-    """Least m <= m_stop with h_m(cv) > h_m(dv) beyond comparison noise.
-
-    Incremental log-domain rows; in-band differences fall back to exact
-    comparison (capped as in _h_cmp). Returns None when no degree up to
-    m_stop separates.
+    """Least m <= m_stop with h_m(cv) > h_m(dv) under the tie rule of
+    _h_sign, from one _h_scan pass per side. Returns None when no degree
+    up to m_stop separates.
     """
-    n = cv.n
-    logs_c = [math.log(v) for v in cv.as_floats()]
-    logs_d = [math.log(v) for v in dv.as_floats()]
-    exact_ok = cv.exact and dv.exact
-    row_c = [0.0] * (n + 1)  # log h_m over prefixes, current degree
-    row_d = [0.0] * (n + 1)
-    for m in range(1, m_stop + 1):
-        row_c = _log_row_step(row_c, logs_c)
-        row_d = _log_row_step(row_d, logs_d)
-        diff = row_c[n] - row_d[n]
-        scale = max(abs(row_c[n]), abs(row_d[n]), 1.0)
-        if diff > 100 * slack * scale:
+    fc, fd = cv.as_floats(), dv.as_floats()
+    for m, (hc, hd) in enumerate(zip(_h_scan(fc, m_stop), _h_scan(fd, m_stop))):
+        if m and _h_sign(m, _scaled_to_log(fc[0], m, *hc),
+                         _scaled_to_log(fd[0], m, *hd), cv, dv, slack) > 0:
             return m
-        if abs(diff) <= 100 * slack * scale:
-            if exact_ok or m <= EXACT_TIE_DEGREE_LIMIT:
-                if _h_exact(m, cv.as_fractions()) > _h_exact(m, dv.as_fractions()):
-                    return m
     return None
-
-
-def _logaddexp(a: float, b: float) -> float:
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    if a < b:
-        a, b = b, a
-    return a + math.log1p(math.exp(b - a))
-
-
-def _log_row_step(prev: list[float], logs: list[float]) -> list[float]:
-    cur = [-math.inf] * len(prev)
-    for k in range(1, len(prev)):
-        cur[k] = _logaddexp(cur[k - 1], logs[k - 1] + prev[k])
-    return cur
 
 
 def find_separating_character(x, y, *, slack: float = REL_SLACK,
@@ -580,12 +553,14 @@ def find_separating_character(x, y, *, slack: float = REL_SLACK,
     require enormous symmetric powers).
     """
     xv, yv = _normalize_sl(_as_moduli(x)), _normalize_sl(_as_moduli(y))
-    verdict = kostant_compare(xv, yv, slack=slack)
+    if xv.n != yv.n:
+        raise LengthMismatch(f"lengths {xv.n} != {yv.n}")
+    comparisons = _normalized_prefix_comparisons(xv, yv, slack)
+    verdict = _verdict(comparisons)
     if verdict.relation in (GEQ, EQUAL):
         raise OrderHolds(f"x dominates y (relation {verdict.relation}); "
                          "no separating character exists")
     n = xv.n
-    comparisons = _normalized_prefix_comparisons(xv, yv, slack)
     failing = [k for k, c in enumerate(comparisons, start=1) if c < 0]
 
     for k in failing:

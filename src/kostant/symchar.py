@@ -10,13 +10,22 @@ this module evaluates
   * spectral_radius_rep - their maximum,
   * rep_matrix      - explicit matrices of small representations.
 
-Evaluation is exact over Fractions when the input moduli are rational,
-and falls back to a log-domain path when float intermediates overflow.
+Evaluation is exact over Fractions when the input moduli are rational.
+Every float h_m (complete homogeneous) value, its logarithm, the float
+Jacobi-Trudi entries of schur and the degree scan in order come from one
+recurrence, _h_scan: it runs on the moduli divided by the largest, so
+its row stays within binom(m+n-1, n-1), and it rescales by powers of two
+past a guard, so one pass gives h_m and log h_m at every degree.
+complete_homogeneous raises Overflow exactly when h_m is not a finite
+float; complete_homogeneous_log has no such limit. _h_exact is the exact
+counterpart for rational input.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,7 +40,7 @@ from .linalg import as_matrix, eigen_spectrum, exact_modulus, to_complex
 DEFAULT_MODULI_CAP = 10 ** 6
 DEFAULT_MATRIX_CAP = 200
 KOSTKA_WEIGHT_CAP = 12
-FLOAT_GUARD = 1e300
+_LN2 = math.log(2.0)
 
 
 def _is_exact(value) -> bool:
@@ -199,6 +208,12 @@ def rep_dim(spec: RepSpec, n: int) -> int:
     raise TypeError(f"unknown rep spec {spec!r}")
 
 
+def _check_cap(spec: RepSpec, n: int, cap: int | None) -> None:
+    """Raise DimensionCap when the representation is larger than cap."""
+    if cap is not None and (d := rep_dim(spec, n)) > cap:
+        raise DimensionCap(f"representation dimension {d} exceeds cap {cap}")
+
+
 def _schur_dimension(shape: Partition, n: int) -> int:
     """Number of semistandard tableaux of the shape with entries <= n."""
     if shape.length > n:
@@ -224,33 +239,22 @@ def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
 # --- symmetric-function evaluation -------------------------------------------
 
 
-def complete_homogeneous(m: int, x, *, log_fallback: bool = True):
+def complete_homogeneous(m: int, x):
     """h_m(x_1, ..., x_n): the sum of all degree-m monomials.
 
-    Uses the two-index recurrence
-    h_m(x_1..x_k) = h_m(x_1..x_{k-1}) + x_k * h_{m-1}(x_1..x_k),
-    exact over Fractions for exact input. The float path has relative
-    error at most about n*m*eps (all terms positive); if an intermediate
-    exceeds the float guard the computation restarts in log domain, and
-    Overflow is raised if even the final value is unrepresentable or the
-    fallback is disabled.
+    Exact over Fractions for exact input (_h_exact). Float input goes
+    through the one scaled recurrence _h_scan, whose relative error is
+    at most about n*m*eps (all terms positive); Overflow is raised
+    exactly when h_m(x) is not a finite float, in which case
+    complete_homogeneous_log still has the value.
     """
     x = _as_moduli(x)
     if m < 0:
         raise ValueError("degree must be nonnegative")
     if x.exact:
-        return _h_exact(m, x.as_fractions())
+        return _last(_h_exact(x.as_fractions(), m))
     values = x.as_floats()
-    result = _h_float(m, values)
-    if result is not None:
-        return result
-    if not log_fallback:
-        raise Overflow(f"h_{m} exceeds float range and log fallback is disabled")
-    log_result = _h_log(m, values)
-    if log_result > math.log(FLOAT_GUARD) + 18:  # ~log of float max
-        raise Overflow(
-            f"h_{m} exceeds float range; use complete_homogeneous_log")
-    return math.exp(log_result)
+    return _scaled_to_float(values[0], m, *_last(_h_scan(values, m)))
 
 
 def complete_homogeneous_log(m: int, x) -> float:
@@ -258,44 +262,76 @@ def complete_homogeneous_log(m: int, x) -> float:
     x = _as_moduli(x)
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    return _h_log(m, x.as_floats())
+    values = x.as_floats()
+    return _scaled_to_log(values[0], m, *_last(_h_scan(values, m)))
 
 
-def _h_exact(m: int, values: tuple[Fraction, ...]) -> Fraction:
-    n = len(values)
-    prev = [Fraction(1)] * (n + 1)  # degree 0 row
-    for _ in range(m):
-        cur = [Fraction(0)] * (n + 1)
-        for k in range(1, n + 1):
-            cur[k] = cur[k - 1] + values[k - 1] * prev[k]
-        prev = cur
-    return prev[n]
+def _h_exact(values: tuple[Fraction, ...], m_max: int):
+    """Yield h_m(values) for m = 0..m_max exactly, by the recurrence of
+    _h_scan without its scaling."""
+    row = [Fraction(1)] * len(values)
+    yield Fraction(1)
+    for _ in range(m_max):
+        h = Fraction(0)
+        for k, v in enumerate(values):
+            h = row[k] = h + v * row[k]
+        yield h
 
 
-def _h_float(m: int, values: tuple[float, ...]) -> float | None:
-    """Linear-domain DP; None when an intermediate exceeds the guard."""
-    n = len(values)
-    prev = [1.0] * (n + 1)
-    for _ in range(m):
-        cur = [0.0] * (n + 1)
-        for k in range(1, n + 1):
-            cur[k] = cur[k - 1] + values[k - 1] * prev[k]
-            if cur[k] > FLOAT_GUARD:
-                return None
-        prev = cur
-    return prev[n]
+H_GUARD = 2.0 ** 512
 
 
-def _h_log(m: int, values: tuple[float, ...]) -> float:
-    n = len(values)
-    logs = [math.log(v) for v in values]
-    prev = [0.0] * (n + 1)
-    for _ in range(m):
-        cur = [-math.inf] * (n + 1)
-        for k in range(1, n + 1):
-            cur[k] = float(np.logaddexp(cur[k - 1], logs[k - 1] + prev[k]))
-        prev = cur
-    return prev[n]
+def _h_scan(values: tuple[float, ...], m_max: int):
+    """Yield (h, shift) for m = 0..m_max, where h_m(values) equals
+    values[0]**m * h * 2**shift; values sorted non-increasing.
+
+    The recurrence runs on q = values / values[0] <= 1, so h_m(q) is at
+    most binom(m+n-1, n-1). row[k] holds h_m(q_1..q_{k+1}), and
+    h_m(q_1..q_k) = h_m(q_1..q_{k-1}) + q_k h_{m-1}(q_1..q_k) updates it
+    in place as a running sum over the variables (in CPython faster than
+    building a new row per degree); row[0] = q_1^m = 1 is never touched.
+    A row whose last entry passes H_GUARD is scaled down by a power of
+    two, exactly, into shift.
+    """
+    q = [v / values[0] for v in values]
+    row = [1.0] * len(q)
+    rest = range(1, len(q))
+    shift = 0
+    h = 1.0
+    yield h, shift
+    for _ in range(m_max):
+        h = row[0]
+        for k in rest:
+            h = row[k] = h + q[k] * row[k]
+        if h > H_GUARD:
+            e = math.frexp(h)[1]
+            row = [math.ldexp(v, -e) for v in row]
+            shift += e
+            h = row[-1]
+        yield h, shift
+
+
+def _last(rows):
+    return deque(rows, maxlen=1)[0]
+
+
+def _scaled_to_log(x1: float, m: int, h: float, shift: int) -> float:
+    return m * math.log(x1) + shift * _LN2 + math.log(h)
+
+
+def _scaled_to_float(x1: float, m: int, h: float, shift: int) -> float:
+    """The float x1**m * h * 2**shift; Overflow when it is not finite."""
+    try:
+        top = x1 ** m
+        if top < sys.float_info.min:  # x1 < 1 and x1**m underflowed
+            value = math.exp(_scaled_to_log(x1, m, h, shift))
+        else:
+            value = math.ldexp(top * h, shift)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise Overflow(f"h_{m} exceeds float range; use complete_homogeneous_log")
+    return value
 
 
 def elementary(k: int, x):
@@ -330,12 +366,10 @@ def schur(shape: Partition, x):
         return Fraction(1) if x.exact else 1.0
     if x.exact:
         return _jacobi_trudi_exact(shape, x.as_fractions())
-    ell = shape.length
-    entries = [[_h_or_zero_float(shape.parts[i] - i + j, x)
-                for j in range(ell)] for i in range(ell)]
-    matrix = np.array(entries, dtype=float)
-    if not np.all(np.isfinite(matrix)):
-        return float(_jacobi_trudi_exact(shape, x.as_fractions()))
+    values = x.as_floats()
+    h = [_scaled_to_float(values[0], d, *hd)
+         for d, hd in enumerate(_h_scan(values, _top_degree(shape)))]
+    matrix = np.array(_jacobi_trudi(shape, h), dtype=float)
     det = float(np.linalg.det(matrix))
     hadamard = float(np.prod([np.linalg.norm(row) for row in matrix]))
     if hadamard > 0 and abs(det) < 1e-8 * hadamard:
@@ -344,26 +378,22 @@ def schur(shape: Partition, x):
     return det
 
 
-def _h_or_zero_float(m: int, x: ModuliVector) -> float:
-    if m < 0:
-        return 0.0
-    return float(complete_homogeneous(m, x))
+def _top_degree(shape: Partition) -> int:
+    """Largest h-degree in the Jacobi-Trudi matrix of the shape."""
+    return shape.parts[0] + shape.length - 1
+
+
+def _jacobi_trudi(shape: Partition, h: list) -> list[list]:
+    """The matrix (h_{shape_i - i + j}) from h = [h_0, h_1, ...]."""
+    ell = shape.length
+    return [[h[d] if d >= 0 else 0
+             for d in (shape.parts[i] - i + j for j in range(ell))]
+            for i in range(ell)]
 
 
 def _jacobi_trudi_exact(shape: Partition, values: tuple[Fraction, ...]) -> Fraction:
-    ell = shape.length
-    mv = ModuliVector.from_values(values)
-    cache: dict[int, Fraction] = {}
-
-    def h(m: int) -> Fraction:
-        if m < 0:
-            return Fraction(0)
-        if m not in cache:
-            cache[m] = _h_exact(m, mv.as_fractions())
-        return cache[m]
-
-    matrix = [[h(shape.parts[i] - i + j) for j in range(ell)] for i in range(ell)]
-    return _fraction_det(matrix)
+    h = list(_h_exact(values, _top_degree(shape)))
+    return _fraction_det(_jacobi_trudi(shape, h))
 
 
 def _fraction_det(matrix: list[list[Fraction]]) -> Fraction:
@@ -442,10 +472,7 @@ def rep_moduli(spec: RepSpec, x, cap: int | None = DEFAULT_MODULI_CAP) -> Moduli
     inner moduli. Result sorted non-increasing.
     """
     x = _as_moduli(x)
-    if cap is not None:
-        d = rep_dim(spec, x.n)
-        if d > cap:
-            raise DimensionCap(f"representation dimension {d} exceeds cap {cap}")
+    _check_cap(spec, x.n, cap)
     values = _rep_moduli_values(spec, x, cap)
     return ModuliVector.from_values(values)
 
@@ -521,10 +548,7 @@ def abs_character(spec: RepSpec, x, cap: int | None = DEFAULT_MODULI_CAP):
     powers stay cheap.
     """
     x = _as_moduli(x)
-    if cap is not None:
-        d = rep_dim(spec, x.n)
-        if d > cap:
-            raise DimensionCap(f"representation dimension {d} exceeds cap {cap}")
+    _check_cap(spec, x.n, cap)
     return _abs_character(spec, x, cap)
 
 
@@ -551,10 +575,7 @@ def _abs_character(spec: RepSpec, x: ModuliVector, cap: int | None):
 def spectral_radius_rep(spec: RepSpec, x, cap: int | None = DEFAULT_MODULI_CAP):
     """Largest eigenvalue modulus of pi(g) for hyperbolic data x."""
     x = _as_moduli(x)
-    if cap is not None:
-        d = rep_dim(spec, x.n)
-        if d > cap:
-            raise DimensionCap(f"representation dimension {d} exceeds cap {cap}")
+    _check_cap(spec, x.n, cap)
     return _spectral_radius(spec, x, cap)
 
 
@@ -596,10 +617,7 @@ def rep_matrix(spec: RepSpec, a, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
     rep_matrix(spec, A @ B) = rep_matrix(spec, A) @ rep_matrix(spec, B).
     """
     m = to_complex(as_matrix(a))
-    n = m.shape[0]
-    d = rep_dim(spec, n)
-    if d > cap:
-        raise DimensionCap(f"representation dimension {d} exceeds cap {cap}")
+    _check_cap(spec, m.shape[0], cap)
     return _rep_matrix(spec, m)
 
 

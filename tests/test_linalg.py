@@ -2,14 +2,12 @@
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 from kostant import (
     IllConditioned,
     Singular,
     eigen_spectrum,
     mat_det,
-    mat_exp,
     mat_inv,
     mat_norm,
     spectral_projectors,
@@ -121,21 +119,6 @@ class TestSpectralProjectors:
 class TestMatHelpers:
     def test_det_reciprocal_pair(self):
         assert abs(mat_det(np.diag([2.0, 0.5])) - 1.0) < 1e-14
-
-    def test_exp_zero(self):
-        assert np.allclose(mat_exp(np.zeros((3, 3))), np.eye(3))
-
-    def test_exp_nilpotent_terminates(self):
-        n = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert np.allclose(mat_exp(n), [[1.0, 1.0], [0.0, 1.0]])
-
-    def test_exp_matches_scipy(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(1, 7))
-            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            ours = mat_exp(a)
-            reference = sla.expm(a)
-            assert mat_norm(ours - reference) <= 1e-10 * mat_norm(reference)
 
     def test_inv_roundtrip(self, rng):
         a = random_invertible(rng, 4)

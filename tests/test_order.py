@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kostant import (
     EQUAL,
@@ -40,6 +42,7 @@ from kostant import (
 from kostant.symchar import Partition, Schur
 
 from conftest import (
+    brute_force_h,
     dominated_moduli_pair,
     hull_member_oracle,
     mixed_logs,
@@ -154,6 +157,24 @@ class TestKostantCompare:
             assert (verdict.relation in (GEQ, EQUAL)) == member
 
 
+class TestPrefixDominanceAgreement:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+        *[st.lists(st.integers(-6, 6), min_size=n - 1, max_size=n - 1)] * 2)))
+    def test_three_deciders_agree_on_zero_sum_rationals(self, pair):
+        # zero-sum rational logs e/4; moduli 2^e carry the same order
+        ex, ey = ([*v, -sum(v)] for v in pair)
+        xl, yl = ([F(e, 4) for e in v] for v in (ex, ey))
+        x, y = ([F(2) ** e for e in v] for v in (ex, ey))
+        verdict = kostant_compare(x, y)
+        cert = permutohedron_certificate(xl, yl)
+        member = verdict.relation in (GEQ, EQUAL)
+        assert majorize_multiplicative(x, y) == member
+        assert isinstance(cert, TTransformCertificate) == member
+        if not member:
+            assert cert.k == verdict.failing_level
+
+
 class TestPermutohedronCertificate:
     def test_trivial_empty(self):
         cert = permutohedron_certificate([1.0, -1.0], [1.0, -1.0])
@@ -235,6 +256,25 @@ class TestSeparatingSymPower:
             hc = complete_homogeneous(m_min, c)
             hd = complete_homogeneous(m_min, d)
             assert hc > hd
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        *[st.lists(st.fractions(F(1, 4), F(4), max_denominator=6),
+                   min_size=n, max_size=n)] * 2)))
+    # h_1 differs inside the float tie band: settled exactly
+    @example(([F(2), F(1, 2) + F(1, 10 ** 12)], [F(3, 2), F(1)]))
+    def test_least_degree_on_exact_inputs(self, pair):
+        c, d = (ModuliVector.from_values(v) for v in pair)
+        limit = 10
+        separates = [m for m in range(1, limit + 1)
+                     if brute_force_h(m, c.values) > brute_force_h(m, d.values)]
+        try:
+            m_min, _ = separating_sym_power(c, d, m_limit=limit)
+        except NotSeparable:
+            # radii that do not separate, or no degree up to the limit
+            assert c.values[0] <= d.values[0] or not separates
+            return
+        assert m_min == separates[0]
 
     def test_paper_chain_holds_at_bound(self):
         c_vec = ModuliVector.from_values([F(3), F(1, 3)])
@@ -325,12 +365,14 @@ class TestCheckTopK:
                 if sx - sy < -1e-10 * scale:
                     raise AssertionError(f"monotonicity failed for {shape}")
                 if abs(sx - sy) <= 1e-10 * scale:
-                    # resolve the tie exactly on the float rationals
-                    ex = schur(shape, ModuliVector.from_values(
-                        x.as_fractions()))
-                    ey = schur(shape, ModuliVector.from_values(
-                        y.as_fractions()))
-                    assert ex >= ey
+                    # resolve the tie exactly on the float rationals, in
+                    # the scale-invariant form s(x)^n P(y)^w >= s(y)^n P(x)^w
+                    # (the float products P are 1 only up to rounding)
+                    xf = ModuliVector.from_values(x.as_fractions())
+                    yf = ModuliVector.from_values(y.as_fractions())
+                    w = sum(shape)
+                    assert schur(shape, xf) ** n * yf.product() ** w >= \
+                        schur(shape, yf) ** n * xf.product() ** w
 
     def test_direct_sum_top_k_identity(self, rng):
         x = random_sl_moduli(rng, 4)

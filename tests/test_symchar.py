@@ -1,10 +1,13 @@
 """Tests for character evaluation and representation moduli."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kostant import (
     BadIndex,
@@ -33,6 +36,7 @@ from kostant import (
     schur,
     spectral_radius_rep,
 )
+from kostant.symchar import _h_exact, _last
 
 from conftest import (
     brute_force_h,
@@ -98,12 +102,44 @@ class TestCompleteHomogeneous:
         x = ModuliVector.from_values([2.0, 0.5])
         with pytest.raises(Overflow):
             complete_homogeneous(3000, x)
-        with pytest.raises(Overflow):
-            complete_homogeneous(3000, x, log_fallback=False)
         # closed form: h_m(a, b) = (a^(m+1) - b^(m+1)) / (a - b)
         expected = 3001 * math.log(2.0) - math.log(1.5)
         assert math.isclose(complete_homogeneous_log(3000, x), expected,
                             rel_tol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6),
+           st.integers(0, 60))
+    def test_float_within_nm_eps_of_exact(self, values, m):
+        x = ModuliVector.from_values(values)
+        exact = _last(_h_exact(x.as_fractions(), m))
+        got = complete_homogeneous(m, x)
+        bound = max(x.n * m, 1) * sys.float_info.epsilon
+        assert abs(Fraction(got) - exact) <= bound * exact
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(1, 64), min_size=1, max_size=4),
+           st.integers(0, 6), st.integers(0, 3000))
+    def test_log_matches_exact_to_high_degree(self, numerators, j, m):
+        # dyadic moduli a / 2^j: floats and Fractions hold the same values
+        x = ModuliVector.from_values([F(a, 2 ** j) for a in numerators])
+        exact = complete_homogeneous(m, x)
+        k = exact.numerator.bit_length() - exact.denominator.bit_length()
+        want = math.log(exact / F(2) ** k) + k * math.log(2)  # no cancellation
+        got = complete_homogeneous_log(m, ModuliVector.from_values(x.as_floats()))
+        eps = sys.float_info.epsilon
+        top = abs(math.log(x.values[0]))
+        assert abs(got - want) <= (x.n * m + 2 * m * top + 1) * eps
+
+    def test_rescaled_rows_match_binomial(self):
+        # h_m(2, ..., 2) = 2^m binom(m+n-1, n-1), past the row guard here
+        n, m = 100, 3000
+        count = math.comb(m + n - 1, n - 1)
+        bound = n * m * sys.float_info.epsilon
+        assert math.isclose(complete_homogeneous(m, [1.0] * n), count,
+                            rel_tol=bound)
+        assert math.isclose(complete_homogeneous_log(m, [2.0] * n),
+                            m * math.log(2) + math.log(count), abs_tol=bound)
 
     def test_log_matches_linear_in_range(self):
         x = ModuliVector.from_values([1.7, 0.9, 0.4])
