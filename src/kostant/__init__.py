@@ -40,8 +40,6 @@ from .linalg import (
     SpectralDecomposition,
     Spectrum,
     eigen_spectrum,
-    mat_det,
-    mat_inv,
     mat_norm,
     spectral_projectors,
 )

@@ -2,9 +2,10 @@
 
 The three factors commute: e is elliptic (diagonalizable, unit-modulus
 eigenvalues), h is hyperbolic (diagonalizable, positive real eigenvalues),
-u is unipotent (all eigenvalues 1). Factors are assembled from spectral
-projectors: on the generalized eigenspace of eigenvalue z, h acts as |z|
-and e as z/|z|, and u = h^-1 e^-1 g. No Jordan basis is formed.
+u is unipotent (all eigenvalues 1). On the generalized eigenspace of
+the eigenvalue z, h acts as |z|, e as z/|z| and u as g/z, so each factor
+is one product over the block diagonalization g = V T W of
+``linalg.spectral_projectors``; no Jordan basis is formed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import NotHyperbolic, NotUnipotent, Singular
+from .errors import IllConditioned, NotHyperbolic, NotUnipotent, Singular
 from .linalg import (
     SINGULARITY_THRESHOLD,
     as_matrix,
@@ -65,32 +66,43 @@ def cmjd(g, tol: float = DEFAULT_TOL) -> CmjdTriple:
     """Decompose an invertible complex matrix into commuting e, h, u.
 
     Eigenvalues within tol (relative to the spectral radius) share one
-    cluster, whose representative value supplies both the modulus for h
-    and the phase for e. Raises Singular for non-invertible input and
-    propagates IllConditioned from the projector construction.
+    cluster, whose value z gives h = V diag(|z|) W, e = V diag(z/|z|) W
+    and u = V diag(1/z) W g over the block diagonalization g = V T W.
+
+    Never returns a triple that validate_cmjd rejects: raises
+    IllConditioned when any of its checks fails at tol (as when rounding
+    splits a defective eigenvalue into clusters), or from the block
+    diagonalization. Raises Singular for non-invertible input.
     """
     m = to_complex(as_matrix(g))
-    n = m.shape[0]
     spectrum = eigen_spectrum(m, cluster_tol=tol)
     radius = spectrum.radius
     if radius == 0 or min(abs(v) for v in spectrum.values) <= SINGULARITY_THRESHOLD * radius:
         raise Singular("matrix has an eigenvalue at (or numerically at) zero")
     decomp = spectral_projectors(m, spectrum)
 
-    h = np.zeros((n, n), dtype=complex)
-    e = np.zeros((n, n), dtype=complex)
-    h_inv = np.zeros((n, n), dtype=complex)
-    e_inv = np.zeros((n, n), dtype=complex)
-    for (z, _), p in zip(spectrum.clusters, decomp.projectors):
-        r = abs(z)
-        phase = z / r
-        h += r * p
-        e += phase * p
-        h_inv += (1.0 / r) * p
-        e_inv += (1.0 / phase) * p
-    u = h_inv @ e_inv @ m
+    z = np.array(spectrum.values)
+    r = np.abs(z)
+    h = decomp.combine(r)
+    e = decomp.combine(z / r)
+    u = decomp.combine(1.0 / z) @ m
 
-    eye = np.eye(n, dtype=complex)
+    report = _check_triple(m, e, h, u, tol)
+    if not report.passed:
+        failing = [name for name, ok in report.checks.items() if not ok]
+        raise IllConditioned(f"decomposition fails {failing} at tolerance {tol:g}")
+    residuals = {name: report.residuals[name]
+                 for name in ("reconstruction", "commutation", "unipotency")}
+    residuals["projector"] = decomp.residual
+    return CmjdTriple(elliptic=e, hyperbolic=h, unipotent=u, residuals=residuals)
+
+
+def _check_triple(m: np.ndarray, e: np.ndarray, h: np.ndarray, u: np.ndarray,
+                  tol: float) -> CmjdReport:
+    """The checks of validate_cmjd on complex factors of m."""
+    n = m.shape[0]
+    e_vals = np.linalg.eigvals(e)
+    h_vals = np.linalg.eigvals(h)
     residuals = {
         "reconstruction": mat_norm(e @ h @ u - m),
         "commutation": max(
@@ -98,10 +110,13 @@ def cmjd(g, tol: float = DEFAULT_TOL) -> CmjdTriple:
             mat_norm(e @ u - u @ e),
             mat_norm(h @ u - u @ h),
         ),
-        "unipotency": mat_norm(np.linalg.matrix_power(u - eye, n)),
-        "projector": decomp.residual,
+        "unipotency": mat_norm(np.linalg.matrix_power(u - np.eye(n), n)),
+        "elliptic_spectrum": float(np.max(np.abs(np.abs(e_vals) - 1.0))),
+        "hyperbolic_spectrum": float(np.max(np.abs(h_vals - np.abs(h_vals)))),
     }
-    return CmjdTriple(elliptic=e, hyperbolic=h, unipotent=u, residuals=residuals)
+    scale = max(mat_norm(m), 1.0)
+    checks = {name: value <= tol * scale for name, value in residuals.items()}
+    return CmjdReport(residuals=residuals, checks=checks, tol=tol)
 
 
 def unipotent_log(u, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -136,28 +151,27 @@ def unipotent_log(u, tol: float = DEFAULT_TOL) -> np.ndarray:
 def hyperbolic_log(h, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Real-semisimple logarithm of a hyperbolic matrix.
 
-    X = sum_i log|z_i| P_i over the spectral projectors; exp(X) = h.
-    Raises NotHyperbolic if any eigenvalue is non-positive-real beyond
-    tolerance, or if h is not diagonalizable (nilpotent residue on some
-    generalized eigenspace).
+    X = V diag(log|z|) W = sum_i log|z_i| P_i over the block
+    diagonalization h = V T W; exp(X) = h. Raises NotHyperbolic if any
+    eigenvalue is non-positive-real beyond tolerance, or if h is not
+    diagonalizable: a nilpotent residue (h - zI) P_i = V_b (T_bb - zI) W_b
+    above tol * max(radius, 1) * max(||P_i||, 1).
     """
     m = to_complex(as_matrix(h))
-    n = m.shape[0]
     spectrum = eigen_spectrum(m, cluster_tol=tol)
     scale = max(spectrum.radius, 1.0)
     for z, _ in spectrum.clusters:
         if z.real <= 0 or abs(z.imag) > tol * scale:
             raise NotHyperbolic(f"eigenvalue {z} is not positive real")
     decomp = spectral_projectors(m, spectrum)
-    x = np.zeros((n, n), dtype=complex)
-    for (z, _), p in zip(spectrum.clusters, decomp.projectors):
-        nilpotent_part = (m - z * np.eye(n)) @ p
-        if mat_norm(nilpotent_part) > tol * scale * max(mat_norm(p), 1.0):
+    for (z, _), b, p in zip(spectrum.clusters, decomp.blocks, decomp.projectors):
+        t_b = decomp.t[b, b] - z * np.eye(b.stop - b.start)
+        residue = mat_norm(decomp.v[:, b] @ t_b @ decomp.w[b, :])
+        if residue > tol * scale * max(mat_norm(p), 1.0):
             raise NotHyperbolic(
                 "matrix is not diagonalizable: nilpotent residue "
-                f"{mat_norm(nilpotent_part):.3e} on cluster at {z}")
-        x += np.log(abs(z)) * p
-    return x
+                f"{residue:.3e} on cluster at {z}")
+    return decomp.combine(np.log(np.abs(spectrum.values)))
 
 
 def validate_cmjd(g, triple: CmjdTriple, tol: float = DEFAULT_TOL) -> CmjdReport:
@@ -165,31 +179,13 @@ def validate_cmjd(g, triple: CmjdTriple, tol: float = DEFAULT_TOL) -> CmjdReport
 
     Report-only: residuals for reconstruction, commutation, unipotency,
     unit-modulus spectrum of e and positive-real spectrum of h, each
-    compared against tol * ||g||.
+    compared against tol * max(||g||, 1); cmjd raises on the same checks.
     """
     m = to_complex(as_matrix(g))
-    n = m.shape[0]
     e, h, u = triple.elliptic, triple.hyperbolic, triple.unipotent
     if e.shape != m.shape or h.shape != m.shape or u.shape != m.shape:
         raise ValueError("factor dimensions do not match g")
-    scale = max(mat_norm(m), 1.0)
-    eye = np.eye(n, dtype=complex)
-
-    e_vals = np.linalg.eigvals(to_complex(e))
-    h_vals = np.linalg.eigvals(to_complex(h))
-    residuals = {
-        "reconstruction": mat_norm(e @ h @ u - m),
-        "commutation": max(
-            mat_norm(e @ h - h @ e),
-            mat_norm(e @ u - u @ e),
-            mat_norm(h @ u - u @ h),
-        ),
-        "unipotency": mat_norm(np.linalg.matrix_power(to_complex(u) - eye, n)),
-        "elliptic_spectrum": float(np.max(np.abs(np.abs(e_vals) - 1.0))),
-        "hyperbolic_spectrum": float(np.max(np.abs(h_vals - np.abs(h_vals)))),
-    }
-    checks = {name: value <= tol * scale for name, value in residuals.items()}
-    return CmjdReport(residuals=residuals, checks=checks, tol=tol)
+    return _check_triple(m, to_complex(e), to_complex(h), to_complex(u), tol)
 
 
 def verify_exp_log(triple: CmjdTriple, tol: float = DEFAULT_TOL) -> dict[str, float]:

@@ -1,13 +1,14 @@
 """Dense complex matrix kernels.
 
-Eigenvalue computation with modulus-relative clustering, spectral
-(generalized-eigenspace) projectors built by Schur-form block decoupling,
-and the handful of matrix helpers the decomposition layer needs. Matrices
-are plain numpy arrays (complex128); exact-mode inputs use object arrays
-of :class:`fractions.Fraction` or :class:`ComplexRational` entries.
+Eigenvalue computation with modulus-relative clustering, the one spectral
+kernel, and the handful of matrix helpers the decomposition layer needs.
+Matrices are plain numpy arrays (complex128); exact-mode inputs use
+object arrays of :class:`fractions.Fraction` or :class:`ComplexRational`.
 
-No Jordan basis is ever formed: eigenvalues are clustered and each
-cluster gets one projector onto its generalized eigenspace.
+No Jordan basis is ever formed. From one complex Schur form,
+``spectral_projectors`` block-diagonalizes g = V T W with W = V^-1, one
+block per eigenvalue cluster (Bavely & Stewart, SIAM J. Numer. Anal. 16,
+1979); then f(g) = sum_i f(z_i) P_i is the one product (V f) W.
 """
 
 from __future__ import annotations
@@ -15,14 +16,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import ztrsen, ztrsyl
 
-from .errors import IllConditioned, NonConvergence, Singular
+from .errors import IllConditioned, NonConvergence
 
 DEFAULT_CLUSTER_TOL = 1e-8
-DEFAULT_NORM_CAP = 1e12
+PROJECTOR_NORM_CAP = 1e12
 SINGULARITY_THRESHOLD = 1e-13
 
 
@@ -186,23 +189,6 @@ def mat_norm(a, ord="fro") -> float:
     return float(np.linalg.norm(a, ord))
 
 
-def mat_det(a) -> complex:
-    return complex(np.linalg.det(to_complex(a)))
-
-
-def mat_inv(a, threshold: float = SINGULARITY_THRESHOLD) -> np.ndarray:
-    """Inverse of a square complex matrix.
-
-    Raises Singular when the smallest singular value is below
-    threshold * largest (the matrix is numerically non-invertible).
-    """
-    m = to_complex(a)
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[0] == 0 or sv[-1] <= threshold * sv[0]:
-        raise Singular(f"matrix is singular at threshold {threshold:g}")
-    return np.linalg.inv(m)
-
-
 # --- spectra and projectors --------------------------------------------------
 
 
@@ -241,9 +227,27 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
+    """Block diagonalization g = V T W, with W = V^-1 and T block
+    diagonal; blocks[i] holds cluster i of ``spectrum.clusters``.
+    residual is max(||W V - I||, ||g V - V T||) (Frobenius, absolute)."""
+
     spectrum: Spectrum
-    projectors: tuple[np.ndarray, ...]
+    v: np.ndarray
+    w: np.ndarray
+    t: np.ndarray
+    blocks: tuple[slice, ...]
     residual: float
+
+    @property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        """Spectral projectors P_i = V[:, b_i] W[b_i, :], one per cluster."""
+        return tuple(self.v[:, b] @ self.w[b, :] for b in self.blocks)
+
+    def combine(self, coeffs) -> np.ndarray:
+        """sum_i coeffs[i] P_i, formed as the one product (V f) W."""
+        f = np.repeat(np.asarray(coeffs, dtype=complex),
+                      [m for _, m in self.spectrum.clusters])
+        return (self.v * f) @ self.w
 
 
 def eigen_spectrum(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
@@ -289,76 +293,57 @@ def eigen_spectrum(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
     return Spectrum(clusters=tuple(clusters), cluster_tol=cluster_tol)
 
 
-def spectral_projectors(
-    a,
-    spectrum: Spectrum | None = None,
-    *,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    norm_cap: float = DEFAULT_NORM_CAP,
-) -> SpectralDecomposition:
-    """Spectral projectors onto the generalized eigenspaces of a.
+def spectral_projectors(a, spectrum: Spectrum | None = None) -> SpectralDecomposition:
+    """Block-diagonalize a along its eigenvalue clusters, from one Schur form.
 
-    For each cluster the complex Schur form is reordered so the cluster's
-    eigenvalues lead, the Sylvester equation T11 X - X T22 = T12 is
-    solved, and the projector is Z [[I, X], [0, 0]] Z*. Raises
-    IllConditioned when any projector norm exceeds norm_cap (clusters too
-    close for the requested tolerance).
+    ztrsen reorders the Schur form a = Z T Z* so that each cluster (the
+    eigenvalues closest to its value) fills one contiguous block; ztrsyl
+    then decouples each block from the trailing part, accumulating
+    V = Z S and W = S^-1 Z*. The spectrum defaults to eigen_spectrum(a).
+    Raises IllConditioned when a reordering selects the wrong count, a
+    Sylvester equation is singular, or a projector's Frobenius norm
+    exceeds PROJECTOR_NORM_CAP (clusters too close for the tolerance).
     """
     m = to_complex(a)
     n = m.shape[0]
     if spectrum is None:
-        spectrum = eigen_spectrum(m, cluster_tol)
+        spectrum = eigen_spectrum(m)
     if spectrum.dim != n:
         raise ValueError("spectrum does not match matrix dimension")
-    values = spectrum.values
+    mults = [mult for _, mult in spectrum.clusters]
+    ends = list(accumulate(mults))
+    blocks = tuple(slice(end - mult, end) for end, mult in zip(ends, mults))
+    if len(blocks) == 1:
+        eye = np.eye(n, dtype=complex)
+        return SpectralDecomposition(spectrum, eye, eye, m, blocks, 0.0)
 
-    if len(values) == 1:
-        projs: tuple[np.ndarray, ...] = (np.eye(n, dtype=complex),)
-        residual = _projector_residual(m, projs)
-        return SpectralDecomposition(spectrum, projs, residual)
-
-    def nearest(z: complex) -> int:
-        return min(range(len(values)), key=lambda i: abs(z - values[i]))
-
-    projectors = []
-    for idx, (_, mult) in enumerate(spectrum.clusters):
-        t, z, sdim = sla.schur(m, output="complex",
-                               sort=lambda w, idx=idx: nearest(w) == idx)
-        if sdim != mult:
+    values = np.array(spectrum.values)
+    t, z = sla.schur(m, output="complex")
+    for i, end in enumerate(ends[:-1]):
+        labels = np.argmin(np.abs(np.diag(t)[:, None] - values), axis=1)
+        t, z, _, count, _, _, info = ztrsen(labels <= i, t, z, job="N")
+        if info != 0 or count != end:
             raise IllConditioned(
-                f"cluster {idx}: Schur reordering selected {sdim} eigenvalues, "
-                f"expected {mult}; clusters too close for tolerance "
+                f"clusters 0..{i}: Schur reordering selected {count} eigenvalues, "
+                f"expected {end}; clusters too close for tolerance "
                 f"{spectrum.cluster_tol:g}")
-        if sdim == n:
-            projectors.append(np.eye(n, dtype=complex))
-            continue
-        t11 = t[:sdim, :sdim]
-        t12 = t[:sdim, sdim:]
-        t22 = t[sdim:, sdim:]
-        x = sla.solve_sylvester(t11, -t22, t12)
-        p_schur = np.zeros((n, n), dtype=complex)
-        p_schur[:sdim, :sdim] = np.eye(sdim)
-        p_schur[:sdim, sdim:] = x
-        projectors.append(z @ p_schur @ z.conj().T)
 
-    worst = max(mat_norm(p) for p in projectors)
-    if worst > norm_cap:
+    v, w = z, z.conj().T
+    for b in blocks[:-1]:
+        rest = slice(b.stop, n)
+        x, scale, info = ztrsyl(t[b, b], t[rest, rest], t[b, rest], isgn=-1)
+        if info != 0:
+            raise IllConditioned(f"cluster at rows {b.start}..{b.stop - 1} "
+                                 "shares eigenvalues with the trailing block")
+        x /= scale
+        v[:, rest] -= v[:, b] @ x
+        w[b, :] += x @ w[rest, :]
+    d = sla.block_diag(*(t[b, b] for b in blocks))
+
+    residual = max(mat_norm(w @ v - np.eye(n)), mat_norm(m @ v - v @ d))
+    decomp = SpectralDecomposition(spectrum, v, w, d, blocks, residual)
+    worst = max(mat_norm(p) for p in decomp.projectors)
+    if worst > PROJECTOR_NORM_CAP:
         raise IllConditioned(
-            f"projector norm {worst:.3e} exceeds cap {norm_cap:.3e}")
-    projs = tuple(projectors)
-    residual = _projector_residual(m, projs)
-    return SpectralDecomposition(spectrum, projs, residual)
-
-
-def _projector_residual(m: np.ndarray, projectors) -> float:
-    """Worst violation of completeness, idempotency, disjointness, commutation."""
-    n = m.shape[0]
-    total = sum(projectors)
-    worst = mat_norm(total - np.eye(n))
-    for i, p in enumerate(projectors):
-        worst = max(worst, mat_norm(p @ p - p))
-        worst = max(worst, mat_norm(m @ p - p @ m))
-        for j, q in enumerate(projectors):
-            if i < j:
-                worst = max(worst, mat_norm(p @ q))
-    return float(worst)
+            f"projector norm {worst:.3e} exceeds cap {PROJECTOR_NORM_CAP:.3e}")
+    return decomp

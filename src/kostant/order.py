@@ -421,17 +421,21 @@ def verify_functional(func: SeparatingFunctional, x, y,
 # --- separating representations ----------------------------------------------------
 
 
+PAPER_EXACT_LIMIT = 20_000
+PAPER_BAND_EPS = 8 * 2.0 ** -52
+
+
 def separating_sym_power(c_vec, d_vec, *, slack: float = REL_SLACK,
-                         m_limit: int | None = None,
-                         verify_limit: int = 20_000) -> tuple[int, int]:
+                         m_limit: int | None = None) -> tuple[int, int]:
     """Symmetric-power degrees separating two positive diagonal spectra.
 
     Requires the spectral radius c of c_vec to strictly exceed d of
     d_vec. Returns (m_min, m_paper): m_min is the least m with
     h_m(c_vec) > h_m(d_vec); m_paper is the least m with
-    (c/d)^m > (m+n)^n, which guarantees the separation through the chain
+    (c/d)^m > (m+n)^n (above PAPER_EXACT_LIMIT: the least m that floats
+    prove), which guarantees the separation through the chain
     c^m > (m+n)^n d^m > binom(m+n-1, n-1) d^m >= h_m(d_vec). Both are
-    verified by evaluation (m_paper only up to verify_limit, beyond
+    verified by evaluation (m_paper only up to PAPER_EXACT_LIMIT, beyond
     which the scan inequality itself is the certificate). m_limit bounds
     the m_min scan; NotSeparable is raised if no separation is found
     within it (thin radius gaps may genuinely need a huge degree).
@@ -451,48 +455,48 @@ def separating_sym_power(c_vec, d_vec, *, slack: float = REL_SLACK,
         raise NotSeparable(
             f"no separating symmetric power up to degree {scan_to} "
             f"(guaranteed bound is {m_paper})")
-    if m_paper <= verify_limit:
+    if m_paper <= PAPER_EXACT_LIMIT:
         assert _h_cmp(m_paper, cv, dv, slack) > 0
     return m_min, m_paper
 
 
-def _paper_cond_float(m: int, log_ratio: float, n: int) -> float:
-    return m * log_ratio - n * math.log(m + n)
-
-
-def _paper_cond_exact(m: int, c: Fraction, d: Fraction, n: int) -> bool:
-    return (c.numerator * d.denominator) ** m > \
-        (m + n) ** n * (c.denominator * d.numerator) ** m
-
-
 def _least_paper_degree(c, d, n: int) -> int:
-    """Least m >= 1 with (c/d)^m > (m+n)^n.
+    """Least m >= 1 with (c/d)^m > (m+n)^n, for c > d > 0.
 
-    The log-gap m*log(c/d) - n*log(m+n) is convex and negative at 0, so
-    the feasible set is a final segment; exponential + binary search finds
-    the float boundary and exact integer comparisons settle the fence.
+    The log-gap m*log(c/d) - n*log(m+n), with log(c/d) = log1p((c-d)/d)
+    from the exact ratio, is convex and nonpositive at 0: exponential and
+    binary search find its final segment. Floats decide outside a rigorous
+    rounding band; inside it exact integers do, up to PAPER_EXACT_LIMIT,
+    above which an in-band m counts as unproven.
     """
-    log_ratio = math.log(float(c)) - math.log(float(d))
+    ratio = Fraction(c) / Fraction(d)
+    if ratio < 2:
+        log_ratio = magnitude = math.log1p(float(ratio - 1))
+    else:  # the ratio may not fit a float; take logs of the integers
+        log_num, log_den = math.log(ratio.numerator), math.log(ratio.denominator)
+        log_ratio, magnitude = log_num - log_den, abs(log_num) + abs(log_den)
+
+    def proven(m: int) -> bool:
+        log_bound = n * math.log(m + n)
+        gap = m * log_ratio - log_bound
+        if abs(gap) > PAPER_BAND_EPS * (m * magnitude + log_bound):
+            return gap > 0
+        return m <= PAPER_EXACT_LIMIT and \
+            ratio.numerator ** m > (m + n) ** n * ratio.denominator ** m
+
     hi = 1
-    while _paper_cond_float(hi, log_ratio, n) <= 0:
+    while not proven(hi):
         hi *= 2
         if hi > 10 ** 15:
             raise NotSeparable("paper degree bound overflowed the search range")
-    lo = hi // 2 if hi > 1 else 1
+    lo = hi // 2
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if _paper_cond_float(mid, log_ratio, n) > 0:
+        if proven(mid):
             hi = mid
         else:
             lo = mid
-    m = hi
-    # settle the boundary exactly (floats are rationals)
-    cf, df = Fraction(c), Fraction(d)
-    while m > 1 and _paper_cond_exact(m - 1, cf, df, n):
-        m -= 1
-    while not _paper_cond_exact(m, cf, df, n):
-        m += 1
-    return m
+    return hi
 
 
 EXACT_TIE_DEGREE_LIMIT = 2000

@@ -1,12 +1,12 @@
 """Bundled invariant suites at desk scale.
 
 Each suite replays a core guarantee on small random inputs with a fixed
-seed: projector algebra, decomposition round trips, character values
-against brute-force enumeration, order decisions against the
-exterior-power radius test, and witness construction on non-dominated
-pairs. The fault-injection flag perturbs the unipotent factor before
-validation so the reconstruction check must fail (used to test failure
-plumbing end to end).
+seed: projector algebra, decomposition round trips (a Jordan block must
+validate or raise), character values against brute-force enumeration,
+order decisions against the exterior-power radius test, and witness
+construction on non-dominated pairs. The fault-injection flag perturbs
+the unipotent factor before validation so the reconstruction check must
+fail (used to test failure plumbing end to end).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .cmjd import cmjd, validate_cmjd
+from .errors import IllConditioned
 from .linalg import mat_norm, spectral_projectors
 from .order import (
     EQUAL,
@@ -74,13 +75,22 @@ def _random_sl(rng, n: int) -> np.ndarray:
     return g / det ** (1.0 / n)
 
 
+def _similar_to(rng, diagonal) -> np.ndarray:
+    s = _random_sl(rng, len(diagonal))
+    return s @ diagonal @ np.linalg.inv(s)
+
+
 def _suite_projectors(rng) -> SuiteResult:
+    cases = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+             for n in rng.integers(2, 6, size=10)]
+    repeated = _similar_to(rng, np.diag([2, 2, 2, -1, 1j]))
     worst = 0.0
-    for _ in range(10):
-        n = int(rng.integers(2, 6))
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    for a in cases + [repeated]:
         decomp = spectral_projectors(a)
         worst = max(worst, decomp.residual / mat_norm(a))
+        if a is repeated and sorted(m for _, m in decomp.spectrum.clusters) != [1, 1, 3]:
+            return SuiteResult("projectors", False,
+                               "repeated eigenvalue split across clusters")
     passed = worst <= 1e-8
     return SuiteResult("projectors", passed,
                        f"worst relative projector residual {worst:.3e}")
@@ -88,10 +98,16 @@ def _suite_projectors(rng) -> SuiteResult:
 
 def _suite_cmjd(rng, inject_fault: bool) -> SuiteResult:
     worst = 0.0
-    for _ in range(10):
-        n = int(rng.integers(2, 6))
-        g = _random_sl(rng, n)
-        triple = cmjd(g)
+    cases = [_random_sl(rng, n) for n in rng.integers(2, 6, size=10)]
+    # rounding splits the eigenvalue of a Jordan block: cmjd may refuse
+    jordan = _similar_to(rng, 2 * np.eye(3) + np.eye(3, k=1))
+    for g in cases + [jordan]:
+        try:
+            triple = cmjd(g)
+        except IllConditioned:
+            if g is jordan:
+                continue
+            raise
         if inject_fault:
             bad = triple.unipotent.copy()
             bad[0, -1] += 1e-6

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from kostant import (
+    IllConditioned,
     NotHyperbolic,
     NotUnipotent,
     Singular,
@@ -17,7 +18,13 @@ from kostant import (
     validate_cmjd,
 )
 
-from conftest import random_sl, random_unipotent, random_unipotent_exact, random_unitary
+from conftest import (
+    random_invertible,
+    random_sl,
+    random_unipotent,
+    random_unipotent_exact,
+    random_unitary,
+)
 
 
 class TestCmjdExamples:
@@ -108,6 +115,37 @@ class TestCmjdProperties:
                 mat_norm(h), 1.0)
 
 
+class TestCmjdJordanBlocks:
+    """Rounding splits a defective eigenvalue into clusters about
+    eps^(1/j) apart; cmjd must then raise, never return a bad triple."""
+
+    def test_jordan_block_validates_or_raises(self, rng):
+        raised = 0
+        for j in range(2, 7):
+            for _ in range(8):
+                s = random_invertible(rng, j, cond_cap=1e3)
+                z = np.exp(rng.normal() + 2j * np.pi * rng.uniform())
+                g = s @ (z * np.eye(j) + np.eye(j, k=1)) @ np.linalg.inv(s)
+                try:
+                    t = cmjd(g)
+                except IllConditioned:
+                    raised += 1
+                    continue
+                assert validate_cmjd(g, t).passed
+        assert raised > 0  # some block split, so the raise path ran
+
+    def test_jordan_direct_sum_with_separated_eigenvalues(self):
+        # 2x2 Jordan block at 2 plus a simple eigenvalue at -1/2: exact
+        # clusters, so the split is clean
+        g = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, -0.5]])
+        t = cmjd(g)
+        assert validate_cmjd(g, t).passed
+        assert np.allclose(t.hyperbolic, np.diag([2.0, 2.0, 0.5]))
+        assert np.allclose(t.elliptic, np.diag([1.0, 1.0, -1.0]))
+        assert np.allclose(t.unipotent, [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0],
+                                         [0.0, 0.0, 1.0]])
+
+
 class TestUnipotentLog:
     def test_identity(self):
         assert np.allclose(unipotent_log(np.eye(3)), np.zeros((3, 3)))
@@ -160,6 +198,15 @@ class TestHyperbolicLog:
     def test_nondiagonalizable_raises(self):
         with pytest.raises(NotHyperbolic):
             hyperbolic_log(np.array([[2.0, 1.0], [0.0, 2.0]]))
+
+    def test_repeated_positive_eigenvalue(self, rng):
+        s = random_invertible(rng, 5, cond_cap=1e3)
+        vals = np.array([3.0, 3.0, 3.0, 0.5, 0.5])
+        h = s @ np.diag(vals) @ np.linalg.inv(s)
+        x = hyperbolic_log(h)
+        expected = s @ np.diag(np.log(vals)) @ np.linalg.inv(s)
+        assert mat_norm(x - expected) <= 1e-9 * mat_norm(expected)
+        assert mat_norm(expm(x) - h) <= 1e-9 * mat_norm(h)
 
     def test_real_spectrum_of_log(self, rng):
         g = random_sl(rng, 4)

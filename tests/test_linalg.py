@@ -5,10 +5,7 @@ import pytest
 
 from kostant import (
     IllConditioned,
-    Singular,
     eigen_spectrum,
-    mat_det,
-    mat_inv,
     mat_norm,
     spectral_projectors,
 )
@@ -111,22 +108,53 @@ class TestSpectralProjectors:
             assert mat_norm(sandwich - a) <= 1e-8 * mat_norm(a)
 
     def test_norm_cap_raises(self):
-        a = np.array([[1.0, 1e6], [0.0, 1.0 + 1e-6]])
+        # projector norm ~ 1e7 / 1e-6 = 1e13, past the 1e12 cap
+        a = np.array([[1.0, 1e7], [0.0, 1.0 + 1e-6]])
         with pytest.raises(IllConditioned):
-            spectral_projectors(a, norm_cap=10.0)
+            spectral_projectors(a)
 
+    @staticmethod
+    def _repeated_cluster_matrix(rng, n):
+        """Random similarity of a diagonal with one eigenvalue repeated."""
+        z = rng.normal(size=n) + 1j * rng.normal(size=n)
+        reps = int(rng.integers(2, n + 1))
+        z[1:reps] = z[0]
+        s = random_invertible(rng, n, cond_cap=1e3)
+        return s @ np.diag(z) @ np.linalg.inv(s)
 
-class TestMatHelpers:
-    def test_det_reciprocal_pair(self):
-        assert abs(mat_det(np.diag([2.0, 0.5])) - 1.0) < 1e-14
+    def test_projector_algebra_pairwise(self, rng):
+        cases = [random_invertible(rng, int(rng.integers(2, 9)))
+                 for _ in range(10)]
+        cases += [self._repeated_cluster_matrix(rng, int(rng.integers(2, 8)))
+                  for _ in range(10)]
+        for a in cases:
+            n = a.shape[0]
+            d = spectral_projectors(a)
+            projs = d.projectors
+            assert len(projs) == len(d.spectrum.clusters)
+            tol = 1e-8 * mat_norm(a)
+            assert mat_norm(sum(projs) - np.eye(n)) <= tol
+            for i, p in enumerate(projs):
+                assert mat_norm(a @ p - p @ a) <= tol
+                for j, q in enumerate(projs):
+                    expected = p if i == j else np.zeros_like(p)
+                    assert mat_norm(p @ q - expected) <= tol
 
-    def test_inv_roundtrip(self, rng):
-        a = random_invertible(rng, 4)
-        assert mat_norm(mat_inv(a) @ a - np.eye(4)) < 1e-10
+    def test_repeated_cluster_projector_rank(self, rng):
+        for _ in range(10):
+            a = self._repeated_cluster_matrix(rng, int(rng.integers(3, 8)))
+            d = spectral_projectors(a)
+            assert max(m for _, m in d.spectrum.clusters) >= 2
+            for (_, mult), p in zip(d.spectrum.clusters, d.projectors):
+                assert abs(np.trace(p) - mult) <= 1e-8
 
-    def test_inv_singular_raises(self):
-        with pytest.raises(Singular):
-            mat_inv(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    def test_combine_matches_projector_sum(self, rng):
+        a = self._repeated_cluster_matrix(rng, 6)
+        d = spectral_projectors(a)
+        coeffs = rng.normal(size=len(d.blocks)) + 1j
+        expected = sum(c * p for c, p in zip(coeffs, d.projectors))
+        assert mat_norm(d.combine(coeffs) - expected) <= 1e-10 * mat_norm(expected)
+        assert mat_norm(d.combine(d.spectrum.values) - a) <= 1e-8 * mat_norm(a)
 
 
 class TestComplexRational:

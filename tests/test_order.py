@@ -1,6 +1,10 @@
 """Tests for majorization predicates, certificates, and witness search."""
 
 import math
+import os
+import subprocess
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +43,7 @@ from kostant import (
     verify_certificate,
     verify_functional,
 )
+from kostant.order import PAPER_EXACT_LIMIT, _least_paper_degree
 from kostant.symchar import Partition, Schur
 
 from conftest import (
@@ -275,6 +280,55 @@ class TestSeparatingSymPower:
             assert c.values[0] <= d.values[0] or not separates
             return
         assert m_min == separates[0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.fractions(F(21, 20), F(8), max_denominator=40),
+           st.fractions(F(1, 4), F(4), max_denominator=12), st.integers(1, 4))
+    # (c/d)^m = (m+n)^n exactly at m = 6 and m = 2: the float gap is 0
+    @example(F(2), F(1), 2)
+    @example(F(4), F(3, 7), 2)
+    # the float gap has the wrong sign at the boundary (m = 6, m = 2):
+    # only the exact comparison inside the rounding band gets these right
+    @example(F(2) + F(3, 10 ** 16), F(1), 2)
+    @example(F(4) - F(1, 10 ** 18), F(5, 3), 2)
+    def test_paper_degree_matches_exact_scan(self, ratio, d, n):
+        p, q = ratio.numerator, ratio.denominator
+        m = 1
+        while not p ** m > (m + n) ** n * q ** m:
+            m += 1
+        assert _least_paper_degree(ratio * d, d, n) == m
+
+    def test_ratio_near_one_returns_promptly(self):
+        # The paper degree is ~6.4e13 here; it must come from the float
+        # band, not from exact powers of that size.
+        code = (
+            "from fractions import Fraction as F\n"
+            "from kostant import NotSeparable, separating_sym_power\n"
+            "print(*separating_sym_power([1 + F(1, 10**12), 1], [1, 1],"
+            " m_limit=10))\n"
+            "try:\n"
+            "    separating_sym_power([1 + F(1, 10**12), 1 - F(2, 10**12)],"
+            " [1, 1], m_limit=10)\n"
+            "except NotSeparable:\n"
+            "    print('NotSeparable')\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            sys.modules["kostant"].__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, timeout=30,
+                             capture_output=True, text=True, check=True).stdout
+        first, second = out.splitlines()
+        m_min, m_paper = map(int, first.split())
+        assert m_min == 1  # h_1 = 2 + 1e-12 > 2, settled exactly
+        assert second == "NotSeparable"
+        assert m_paper > PAPER_EXACT_LIMIT
+
+        def gap(m):  # m log(c/d) - n log(m + n) to 60 digits
+            with localcontext() as ctx:
+                ctx.prec = 60
+                return (m * (1 + Decimal(1) / 10 ** 12).ln()
+                        - 2 * Decimal(m + 2).ln())
+
+        assert gap(m_paper) > 0 and gap(m_paper - 1) <= 0
 
     def test_paper_chain_holds_at_bound(self):
         c_vec = ModuliVector.from_values([F(3), F(1, 3)])
