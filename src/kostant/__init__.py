@@ -15,7 +15,6 @@ from .cmjd import (
     hyperbolic_log,
     unipotent_log,
     validate_cmjd,
-    verify_exp_log,
 )
 from .errors import (
     BadIndex,
@@ -41,6 +40,8 @@ from .linalg import (
     Spectrum,
     eigen_spectrum,
     mat_norm,
+    matrix_moduli,
+    moduli_from_eigenvalues,
     spectral_projectors,
 )
 from .order import (
@@ -80,10 +81,7 @@ from .symchar import (
     complete_homogeneous_log,
     elementary,
     kostka_number,
-    matrix_moduli,
-    moduli_from_eigenvalues,
     rep_dim,
-    rep_matrix,
     rep_moduli,
     schur,
     spectral_radius_rep,

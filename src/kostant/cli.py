@@ -36,6 +36,7 @@ from .errors import (
     Singular,
     SumMismatch,
 )
+from .linalg import matrix_moduli, moduli_from_eigenvalues
 from .order import (
     EQUAL,
     GEQ,
@@ -45,14 +46,7 @@ from .order import (
     permutohedron_certificate,
 )
 from .selfcheck import run_suites
-from .symchar import (
-    ModuliVector,
-    abs_character,
-    matrix_moduli,
-    moduli_from_eigenvalues,
-    rep_dim,
-    spectral_radius_rep,
-)
+from .symchar import ModuliVector, abs_character, rep_dim, spectral_radius_rep
 
 INPUT_ERRORS = (ParseError, LengthMismatch, NonPositive, BadIndex,
                 SumMismatch, PreconditionFailed, DimensionCap, ValueError)
@@ -123,8 +117,7 @@ def _error_report(config: JobConfig, exc: Exception) -> dict:
 
 
 def _run_decompose(config: JobConfig) -> tuple[int, dict]:
-    payload = serialize.parse_matrix(_load_json(config.inputs["g"]),
-                                     exact=config.exact)
+    payload = serialize.parse_matrix(_load_json(config.inputs["g"]))
     triple = cmjd(payload.matrix, tol=config.tol)
     report = {"command": "decompose", "tol": config.tol}
     report.update(serialize.triple_to_json(triple))
@@ -209,43 +202,47 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and separating characters on SL_n(C).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="relative tolerance for residuals and clustering")
-        p.add_argument("--exact", action="store_true",
-                       help="parse rational inputs and compare exactly")
-        p.add_argument("--dim-cap", type=int, default=10 ** 6,
-                       help="largest admissible representation dimension")
+    def options(p, *, tol=True, exact=True, dim_cap=False):
+        """The flags the subcommand reads, then --out."""
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-8,
+                           help="relative tolerance for residuals and clustering")
+        if exact:
+            p.add_argument("--exact", action="store_true",
+                           help="parse rational inputs and compare exactly")
+        if dim_cap:
+            p.add_argument("--dim-cap", type=int, default=10 ** 6,
+                           help="largest admissible representation dimension")
         p.add_argument("--out", help="write the JSON report to this path")
 
     p = sub.add_parser("decompose", help="complete multiplicative Jordan "
                                          "decomposition of a matrix")
     p.add_argument("--g", required=True, help="matrix JSON file")
-    common(p)
+    options(p, exact=False)
 
     p = sub.add_parser("order", help="decide the partial order between two "
                                      "elements (matrices or moduli)")
     p.add_argument("--g1", required=True)
     p.add_argument("--g2", required=True)
-    common(p)
+    options(p)
 
     p = sub.add_parser("char", help="evaluate a representation character on "
                                     "hyperbolic data")
     p.add_argument("--spec", required=True, help="rep spec JSON file")
     p.add_argument("--x", required=True, help="moduli or matrix JSON file")
-    common(p)
+    options(p, dim_cap=True)
 
     p = sub.add_parser("witness", help="construct a separating character for "
                                        "a non-dominated pair")
     p.add_argument("--h1", required=True)
     p.add_argument("--h2", required=True)
-    common(p)
+    options(p, dim_cap=True)
 
     p = sub.add_parser("certify", help="T-transform certificate or separating "
                                        "functional for hull membership")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    common(p)
+    options(p)
 
     p = sub.add_parser("selfcheck", help="run the bundled invariant suites")
     p.add_argument("--suite", action="append", dest="suites",
@@ -253,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-perturbation", action="store_true",
                    dest="inject_fault",
                    help="perturb a factor to force a validation failure")
-    common(p)
+    options(p, tol=False, exact=False)
 
     return parser
 
@@ -264,13 +261,14 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
         value = getattr(args, key, None)
         if value is not None:
             inputs[key] = value
+    # a subcommand without one of these flags keeps the JobConfig default
+    options = {key: getattr(args, key) for key in ("tol", "exact", "dim_cap")
+               if hasattr(args, key)}
     return JobConfig(
         command=args.command,
         inputs=inputs,
-        tol=args.tol,
-        exact=args.exact,
-        dim_cap=args.dim_cap,
         out=args.out,
+        **options,
         suites=tuple(args.suites) if getattr(args, "suites", None) else None,
         inject_fault=getattr(args, "inject_fault", False),
     )

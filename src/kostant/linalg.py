@@ -5,6 +5,11 @@ kernel, and the handful of matrix helpers the decomposition layer needs.
 Matrices are plain numpy arrays (complex128); exact-mode inputs use
 object arrays of :class:`fractions.Fraction` or :class:`ComplexRational`.
 
+This is also the one place where a matrix becomes moduli: matrix_moduli
+(clustered eigenvalues) and moduli_from_eigenvalues (supplied
+eigenvalues, exact when their moduli are rational) hand the order and
+character layers a symchar.ModuliVector, and nothing more.
+
 No Jordan basis is ever formed. From one complex Schur form,
 ``spectral_projectors`` block-diagonalizes g = V T W with W = V^-1, one
 block per eigenvalue cluster (Bavely & Stewart, SIAM J. Numer. Anal. 16,
@@ -23,6 +28,7 @@ import scipy.linalg as sla
 from scipy.linalg.lapack import ztrsen, ztrsyl
 
 from .errors import IllConditioned, NonConvergence
+from .symchar import ModuliVector
 
 DEFAULT_CLUSTER_TOL = 1e-8
 PROJECTOR_NORM_CAP = 1e12
@@ -243,6 +249,16 @@ class SpectralDecomposition:
         """Spectral projectors P_i = V[:, b_i] W[b_i, :], one per cluster."""
         return tuple(self.v[:, b] @ self.w[b, :] for b in self.blocks)
 
+    def projector_norms(self) -> list[float]:
+        """Frobenius norms ||P_i||_F without forming P_i, from
+        ||V_b W_b||_F^2 = tr((V_b* V_b)(W_b W_b*)), O(n m_b^2) per block."""
+        norms = []
+        for b in self.blocks:
+            v_b, w_b = self.v[:, b], self.w[b, :]
+            gram = (v_b.conj().T @ v_b) * (w_b @ w_b.conj().T).T
+            norms.append(math.sqrt(max(float(gram.sum().real), 0.0)))
+        return norms
+
     def combine(self, coeffs) -> np.ndarray:
         """sum_i coeffs[i] P_i, formed as the one product (V f) W."""
         f = np.repeat(np.asarray(coeffs, dtype=complex),
@@ -342,8 +358,35 @@ def spectral_projectors(a, spectrum: Spectrum | None = None) -> SpectralDecompos
 
     residual = max(mat_norm(w @ v - np.eye(n)), mat_norm(m @ v - v @ d))
     decomp = SpectralDecomposition(spectrum, v, w, d, blocks, residual)
-    worst = max(mat_norm(p) for p in decomp.projectors)
+    worst = max(decomp.projector_norms())
     if worst > PROJECTOR_NORM_CAP:
         raise IllConditioned(
             f"projector norm {worst:.3e} exceeds cap {PROJECTOR_NORM_CAP:.3e}")
     return decomp
+
+
+# --- matrix -> moduli ----------------------------------------------------------
+
+
+def matrix_moduli(g, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> ModuliVector:
+    """Eigenvalue moduli of a matrix, sorted non-increasing.
+
+    These are exactly the eigenvalues of the hyperbolic factor of g.
+    """
+    spectrum = eigen_spectrum(g, cluster_tol)
+    return ModuliVector.from_values(spectrum.moduli())
+
+
+def moduli_from_eigenvalues(values) -> ModuliVector:
+    """Moduli of externally supplied eigenvalues; exact when possible.
+
+    Rational eigenvalues with exactly rational moduli yield an exact
+    vector; anything else falls back to floats.
+    """
+    exact: list[Fraction] = []
+    for z in values:
+        mod = exact_modulus(z)
+        if mod is None:
+            return ModuliVector.from_values([abs(complex(z)) for z in values])
+        exact.append(mod)
+    return ModuliVector.from_values(exact)

@@ -9,12 +9,12 @@ produced: T-transform chains certifying hull membership, and top-k
 prefix functionals (or separating characters) certifying failure.
 
 Comparison policy: exact inputs (Fractions) are compared exactly; float
-comparisons use a relative slack and treat in-band differences as ties.
+comparisons treat differences within REL_SLACK of a scale as ties.
 Every prefix test (majorize_additive, majorize_multiplicative,
 kostant_compare, permutohedron_certificate, find_separating_character)
 reads the per-level comparisons of one kernel, _prefix_cmp, over running
 sums, or running products for exact multiplicative input; each caller
-supplies its own scale and slack. The witness search scans h_m degrees
+supplies its own scale. The witness search scans h_m degrees
 with the one float h_m recurrence of symchar (_h_scan), and settles
 in-band h_m comparisons exactly under one tie rule (_h_sign); binary
 floats are rationals.
@@ -62,29 +62,27 @@ EQUAL = "EQUAL"
 INCOMPARABLE = "INCOMPARABLE"
 
 
-def _cmp(a, b, scale=None, slack: float = REL_SLACK) -> int:
+def _cmp(a, b) -> int:
     """Three-way compare: exact when both sides are rational, else
-    float with a relative slack band treated as a tie."""
+    float with a relative REL_SLACK band treated as a tie."""
     if _is_exact(a) and _is_exact(b):
         return (a > b) - (a < b)
     fa, fb = float(a), float(b)
-    if scale is None:
-        scale = max(abs(fa), abs(fb), 1.0)
-    if abs(fa - fb) <= slack * scale:
+    if abs(fa - fb) <= REL_SLACK * max(abs(fa), abs(fb), 1.0):
         return 0
     return 1 if fa > fb else -1
 
 
-def _prefix_cmp(xs, ys, scale=None, slack: float = REL_SLACK, op=add) -> list[int]:
+def _prefix_cmp(xs, ys, scale=None, op=add) -> list[int]:
     """Three-way comparisons of the running sums (or products, op=mul) of
     xs and ys at each prefix level k = 1..len(xs): the one
     prefix-dominance kernel. Exact when both sides are rational; else, as
-    in _cmp, differences within slack * scale (required) are ties.
+    in _cmp, differences within REL_SLACK * scale (required) are ties.
     """
     px, py = list(accumulate(xs, op)), list(accumulate(ys, op))
     if not px or (_is_exact(px[-1]) and _is_exact(py[-1])):
         return [(a > b) - (a < b) for a, b in zip(px, py)]
-    band = slack * scale
+    band = REL_SLACK * scale
     # a NaN difference fails the level, as in _cmp
     return [(d > band) - (not d >= -band)
             for d in map(sub, map(float, px), map(float, py))]
@@ -98,7 +96,6 @@ class LogVector:
     """Additive avatar of hyperbolic data: reals sorted non-increasing."""
 
     values: tuple
-    trace_zero: bool = False
 
     def __post_init__(self):
         if len(self.values) == 0:
@@ -106,20 +103,12 @@ class LogVector:
         for a, b in zip(self.values, self.values[1:]):
             if a < b:
                 raise ValueError("log vector must be sorted non-increasing")
-        if self.trace_zero:
-            total = sum(self.values)
-            scale = sum(abs(v) for v in self.values) or 1
-            if _is_exact(total):
-                if total != 0:
-                    raise ValueError("trace_zero log vector must sum to 0")
-            elif abs(float(total)) > 1e-9 * float(scale):
-                raise ValueError("trace_zero log vector must sum to ~0")
 
     @classmethod
-    def from_values(cls, values, trace_zero: bool = False) -> "LogVector":
+    def from_values(cls, values) -> "LogVector":
         coerced = [Fraction(v) if isinstance(v, int) else v for v in values]
         coerced.sort(reverse=True)
-        return cls(tuple(coerced), trace_zero)
+        return cls(tuple(coerced))
 
     @property
     def n(self) -> int:
@@ -219,7 +208,7 @@ def _sorted_values(x) -> tuple:
     return LogVector.from_values(x).values
 
 
-def majorize_additive(x, y, *, weak: bool = False, slack: float = REL_SLACK) -> bool:
+def majorize_additive(x, y, *, weak: bool = False) -> bool:
     """Prefix-sum dominance of sorted x over sorted y.
 
     Strict (default) form also requires equal totals; the weak form
@@ -229,7 +218,7 @@ def majorize_additive(x, y, *, weak: bool = False, slack: float = REL_SLACK) -> 
     xs, ys = _sorted_values(x), _sorted_values(y)
     if len(xs) != len(ys):
         raise LengthMismatch(f"lengths {len(xs)} != {len(ys)}")
-    levels = _prefix_cmp(xs, ys, _abs_scale(xs, ys), slack)
+    levels = _prefix_cmp(xs, ys, _abs_scale(xs, ys))
     if weak:
         return min(levels) >= 0
     return _majorizes(levels)
@@ -245,7 +234,7 @@ def _abs_scale(xs, ys) -> float:
                  sum(abs(float(v)) for v in ys)) or 1.0
 
 
-def majorize_multiplicative(x, y, *, slack: float = REL_SLACK) -> bool:
+def majorize_multiplicative(x, y) -> bool:
     """Prefix-product dominance with equal total products.
 
     Implemented as additive majorization of the log vectors; exact inputs
@@ -257,10 +246,10 @@ def majorize_multiplicative(x, y, *, slack: float = REL_SLACK) -> bool:
     if xv.exact and yv.exact:
         return _majorizes(_prefix_cmp(xv.values, yv.values, op=mul))
     return majorize_additive(LogVector(xv.log_values()),
-                             LogVector(yv.log_values()), slack=slack)
+                             LogVector(yv.log_values()))
 
 
-def kostant_compare(x, y, *, slack: float = REL_SLACK) -> OrderVerdict:
+def kostant_compare(x, y) -> OrderVerdict:
     """Decide the partial order between two moduli vectors.
 
     Vectors are normalized to product one internally (scale-invariant
@@ -271,7 +260,7 @@ def kostant_compare(x, y, *, slack: float = REL_SLACK) -> OrderVerdict:
     xv, yv = _as_moduli(x), _as_moduli(y)
     if xv.n != yv.n:
         raise LengthMismatch(f"lengths {xv.n} != {yv.n}")
-    return _verdict(_normalized_prefix_comparisons(xv, yv, slack))
+    return _verdict(_normalized_prefix_comparisons(xv, yv))
 
 
 def _verdict(comparisons: list[int]) -> OrderVerdict:
@@ -286,8 +275,7 @@ def _verdict(comparisons: list[int]) -> OrderVerdict:
     return OrderVerdict(LEQ if leq else INCOMPARABLE, failing_level=failing)
 
 
-def _normalized_prefix_comparisons(xv: ModuliVector, yv: ModuliVector,
-                                   slack: float) -> list[int]:
+def _normalized_prefix_comparisons(xv: ModuliVector, yv: ModuliVector) -> list[int]:
     """Three-way comparisons of normalized prefix products, k = 1..n-1.
 
     Comparing P_k(x) / P(x)^(k/n) against the same for y, with P(x) the
@@ -306,13 +294,13 @@ def _normalized_prefix_comparisons(xv: ModuliVector, yv: ModuliVector,
     cx = [v - mean_x for v in lx]
     cy = [v - mean_y for v in ly]
     scale = sum(map(abs, cx)) + sum(map(abs, cy)) or 1.0
-    return _prefix_cmp(cx[:-1], cy[:-1], scale, slack)
+    return _prefix_cmp(cx[:-1], cy[:-1], scale)
 
 
 # --- permutohedron certificates ---------------------------------------------------
 
 
-def permutohedron_certificate(x, y, *, slack: float = REL_SLACK):
+def permutohedron_certificate(x, y):
     """Certify membership of sorted y in the permutation hull of x, or refute it.
 
     If sorted x majorizes sorted y (equal totals), returns a
@@ -326,7 +314,7 @@ def permutohedron_certificate(x, y, *, slack: float = REL_SLACK):
     if lx.n != ly.n:
         raise LengthMismatch(f"lengths {lx.n} != {ly.n}")
     scale = _abs_scale(lx.values, ly.values)
-    levels = _prefix_cmp(lx.values, ly.values, scale, slack)
+    levels = _prefix_cmp(lx.values, ly.values, scale)
     if levels[-1] != 0:
         raise SumMismatch(f"totals differ: {sum(lx.values)} vs {sum(ly.values)}")
     failing = next((k for k, c in enumerate(levels[:-1], start=1) if c < 0), None)
@@ -425,7 +413,7 @@ PAPER_EXACT_LIMIT = 20_000
 PAPER_BAND_EPS = 8 * 2.0 ** -52
 
 
-def separating_sym_power(c_vec, d_vec, *, slack: float = REL_SLACK,
+def separating_sym_power(c_vec, d_vec, *,
                          m_limit: int | None = None) -> tuple[int, int]:
     """Symmetric-power degrees separating two positive diagonal spectra.
 
@@ -445,18 +433,18 @@ def separating_sym_power(c_vec, d_vec, *, slack: float = REL_SLACK,
         raise LengthMismatch(f"lengths {cv.n} != {dv.n}")
     n = cv.n
     c, d = cv.values[0], dv.values[0]
-    if _cmp(c, d, slack=slack) <= 0:
+    if _cmp(c, d) <= 0:
         raise NotSeparable(f"spectral radii do not separate: c = {c}, d = {d}")
 
     m_paper = _least_paper_degree(c, d, n)
     scan_to = m_paper if m_limit is None else min(m_paper, m_limit)
-    m_min = _least_separating_degree(cv, dv, scan_to, slack)
+    m_min = _least_separating_degree(cv, dv, scan_to)
     if m_min is None:
         raise NotSeparable(
             f"no separating symmetric power up to degree {scan_to} "
             f"(guaranteed bound is {m_paper})")
     if m_paper <= PAPER_EXACT_LIMIT:
-        assert _h_cmp(m_paper, cv, dv, slack) > 0
+        assert _h_cmp(m_paper, cv, dv) > 0
     return m_min, m_paper
 
 
@@ -502,23 +490,23 @@ def _least_paper_degree(c, d, n: int) -> int:
 EXACT_TIE_DEGREE_LIMIT = 2000
 
 
-def _h_cmp(m: int, cv: ModuliVector, dv: ModuliVector, slack: float) -> int:
+def _h_cmp(m: int, cv: ModuliVector, dv: ModuliVector) -> int:
     """Three-way compare of h_m(cv) vs h_m(dv), exact on float ties."""
     return _h_sign(m, complete_homogeneous_log(m, cv),
-                   complete_homogeneous_log(m, dv), cv, dv, slack)
+                   complete_homogeneous_log(m, dv), cv, dv)
 
 
 def _h_sign(m: int, log_c: float, log_d: float, cv: ModuliVector,
-            dv: ModuliVector, slack: float) -> int:
+            dv: ModuliVector) -> int:
     """The tie rule for h_m(cv) vs h_m(dv), given their logs.
 
-    Outside a relative band of 100 * slack the logs decide. Inside it the
+    Outside a relative band of 100 * REL_SLACK the logs decide. Inside it the
     exact values do, except above EXACT_TIE_DEGREE_LIMIT for float inputs
     (the rationals there are astronomically large), where the in-band
     result is reported as a tie.
     """
     scale = max(abs(log_c), abs(log_d), 1.0)
-    if abs(log_c - log_d) > 100 * slack * scale:
+    if abs(log_c - log_d) > 100 * REL_SLACK * scale:
         return 1 if log_c > log_d else -1
     if not (cv.exact and dv.exact) and m > EXACT_TIE_DEGREE_LIMIT:
         return 0
@@ -528,7 +516,7 @@ def _h_sign(m: int, log_c: float, log_d: float, cv: ModuliVector,
 
 
 def _least_separating_degree(cv: ModuliVector, dv: ModuliVector,
-                             m_stop: int, slack: float) -> int | None:
+                             m_stop: int) -> int | None:
     """Least m <= m_stop with h_m(cv) > h_m(dv) under the tie rule of
     _h_sign, from one _h_scan pass per side. Returns None when no degree
     up to m_stop separates.
@@ -536,12 +524,12 @@ def _least_separating_degree(cv: ModuliVector, dv: ModuliVector,
     fc, fd = cv.as_floats(), dv.as_floats()
     for m, (hc, hd) in enumerate(zip(_h_scan(fc, m_stop), _h_scan(fd, m_stop))):
         if m and _h_sign(m, _scaled_to_log(fc[0], m, *hc),
-                         _scaled_to_log(fd[0], m, *hd), cv, dv, slack) > 0:
+                         _scaled_to_log(fd[0], m, *hd), cv, dv) > 0:
             return m
     return None
 
 
-def find_separating_character(x, y, *, slack: float = REL_SLACK,
+def find_separating_character(x, y, *,
                               dim_cap: int | None = 10 ** 6) -> SeparatingWitness:
     """Construct a representation separating y strictly over x.
 
@@ -559,7 +547,7 @@ def find_separating_character(x, y, *, slack: float = REL_SLACK,
     xv, yv = _normalize_sl(_as_moduli(x)), _normalize_sl(_as_moduli(y))
     if xv.n != yv.n:
         raise LengthMismatch(f"lengths {xv.n} != {yv.n}")
-    comparisons = _normalized_prefix_comparisons(xv, yv, slack)
+    comparisons = _normalized_prefix_comparisons(xv, yv)
     verdict = _verdict(comparisons)
     if verdict.relation in (GEQ, EQUAL):
         raise OrderHolds(f"x dominates y (relation {verdict.relation}); "
@@ -576,14 +564,14 @@ def find_separating_character(x, y, *, slack: float = REL_SLACK,
         ext_y = rep_moduli(Ext(k), yv, cap=None)
         try:
             m_min, m_paper = separating_sym_power(
-                ext_y, ext_x, slack=slack, m_limit=m_budget)
+                ext_y, ext_x, m_limit=m_budget)
         except NotSeparable:
             continue
         spec = Compose(Sym(m_min), Ext(k))
         dimension = rep_dim(spec, n)
         chi_1 = complete_homogeneous(m_min, ext_x)
         chi_2 = complete_homogeneous(m_min, ext_y)
-        if _h_cmp(m_min, ext_y, ext_x, slack) <= 0:
+        if _h_cmp(m_min, ext_y, ext_x) <= 0:
             raise AssertionError("witness failed its strict character comparison")
         return SeparatingWitness(k=k, m=m_min, spec=spec, chi_1=chi_1,
                                  chi_2=chi_2, paper_bound_m=m_paper,
@@ -594,14 +582,17 @@ def find_separating_character(x, y, *, slack: float = REL_SLACK,
         f"exact inputs and dim_cap=None)")
 
 
-def _degree_budget(ext_dim: int, dim_cap: int | None,
-                   hard_limit: int = 10 ** 6) -> int | None:
-    """Largest symmetric degree m keeping comb(m + N - 1, N - 1) <= cap."""
+MAX_SYM_DEGREE = 10 ** 6
+
+
+def _degree_budget(ext_dim: int, dim_cap: int | None) -> int | None:
+    """Largest symmetric degree m <= MAX_SYM_DEGREE keeping
+    comb(m + N - 1, N - 1) <= cap."""
     if dim_cap is None:
         return None
     if ext_dim == 1:
-        return hard_limit  # 1-dimensional inner rep: all powers are scalars
-    lo, hi = 0, hard_limit  # comb(N - 1, N - 1) = 1 <= cap always
+        return MAX_SYM_DEGREE  # 1-dimensional inner rep: all powers are scalars
+    lo, hi = 0, MAX_SYM_DEGREE  # comb(N - 1, N - 1) = 1 <= cap always
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if math.comb(mid + ext_dim - 1, ext_dim - 1) <= dim_cap:
@@ -623,8 +614,7 @@ def _normalize_sl(v: ModuliVector) -> ModuliVector:
     return v.normalized()
 
 
-def check_topk(x, y, spec: RepSpec, *, cap: int | None = 10 ** 6,
-               slack: float = REL_SLACK) -> TopKReport:
+def check_topk(x, y, spec: RepSpec, *, cap: int | None = 10 ** 6) -> TopKReport:
     """Verify top-k product and sum dominance of rep moduli of x over y.
 
     Precondition: x dominates y in the order (PreconditionFailed
@@ -632,7 +622,7 @@ def check_topk(x, y, spec: RepSpec, *, cap: int | None = 10 ** 6,
     log domain.
     """
     xv, yv = _as_moduli(x), _as_moduli(y)
-    verdict = kostant_compare(xv, yv, slack=slack)
+    verdict = kostant_compare(xv, yv)
     if verdict.relation not in (GEQ, EQUAL):
         raise PreconditionFailed(
             f"x does not dominate y (relation {verdict.relation})")
@@ -649,7 +639,8 @@ def check_topk(x, y, spec: RepSpec, *, cap: int | None = 10 ** 6,
         sy += my[k]
         lx += logs_x[k]
         ly += logs_y[k]
-        ok = (sx - sy >= -slack * sum_scale) and (lx - ly >= -slack * log_scale)
+        ok = (sx - sy >= -REL_SLACK * sum_scale
+              and lx - ly >= -REL_SLACK * log_scale)
         levels.append(TopKLevel(k=k + 1, sum_margin=sx - sy,
                                 log_product_margin=lx - ly, ok=ok))
     return TopKReport(spec=spec, dimension=len(mx), levels=tuple(levels),

@@ -46,11 +46,10 @@ from .symchar import (
 
 @dataclass(frozen=True)
 class MatrixInput:
-    """Parsed matrix payload: float matrix, optional exact object matrix,
-    and optional externally supplied eigenvalues."""
+    """Parsed matrix payload: complex matrix and optional externally
+    supplied eigenvalues (exact in exact mode)."""
 
     matrix: np.ndarray
-    exact_matrix: np.ndarray | None
     eigenvalues: list | None
 
 
@@ -116,15 +115,13 @@ def parse_matrix(obj, exact: bool = False) -> MatrixInput:
     parsed = [[parse_complex(e, exact) for e in row] for row in entries]
     matrix = np.array([[complex(e) for e in row] for row in parsed],
                       dtype=complex)
-    exact_matrix = (np.array(parsed, dtype=object) if exact else None)
     eigenvalues = None
     if "eigenvalues" in obj:
         raw = obj["eigenvalues"]
         if not isinstance(raw, list) or len(raw) != n:
             raise ParseError("eigenvalues must list one value per dimension")
         eigenvalues = [parse_complex(e, exact) for e in raw]
-    return MatrixInput(matrix=matrix, exact_matrix=exact_matrix,
-                       eigenvalues=eigenvalues)
+    return MatrixInput(matrix=matrix, eigenvalues=eigenvalues)
 
 
 def matrix_to_json(m) -> dict:

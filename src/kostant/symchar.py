@@ -7,10 +7,11 @@ this module evaluates
 
   * rep_moduli      - the full multiset of eigenvalue moduli of pi(g),
   * abs_character   - their sum (equals the character on hyperbolic g),
-  * spectral_radius_rep - their maximum,
-  * rep_matrix      - explicit matrices of small representations.
+  * spectral_radius_rep - their maximum.
 
-Evaluation is exact over Fractions when the input moduli are rational.
+The input is a ModuliVector (linalg.matrix_moduli turns a matrix into
+one); nothing here needs a matrix library. Evaluation is exact over
+Fractions when the input moduli are rational.
 Every float h_m (complete homogeneous) value, its logarithm, the float
 Jacobi-Trudi entries of schur and the degree scan in order come from one
 recurrence, _h_scan: it runs on the moduli divided by the largest, so
@@ -31,14 +32,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
-import numpy as np
-import scipy.linalg as sla
-
 from .errors import BadIndex, DimensionCap, LengthMismatch, NonPositive, Overflow
-from .linalg import as_matrix, eigen_spectrum, exact_modulus, to_complex
 
 DEFAULT_MODULI_CAP = 10 ** 6
-DEFAULT_MATRIX_CAP = 200
 KOSTKA_WEIGHT_CAP = 12
 _LN2 = math.log(2.0)
 
@@ -369,9 +365,9 @@ def schur(shape: Partition, x):
     values = x.as_floats()
     h = [_scaled_to_float(values[0], d, *hd)
          for d, hd in enumerate(_h_scan(values, _top_degree(shape)))]
-    matrix = np.array(_jacobi_trudi(shape, h), dtype=float)
-    det = float(np.linalg.det(matrix))
-    hadamard = float(np.prod([np.linalg.norm(row) for row in matrix]))
+    matrix = _jacobi_trudi(shape, h)
+    det = float(_det(matrix))
+    hadamard = math.prod(math.hypot(*row) for row in matrix)
     if hadamard > 0 and abs(det) < 1e-8 * hadamard:
         # all significant digits cancelled; retry exactly
         return float(_jacobi_trudi_exact(shape, x.as_fractions()))
@@ -393,27 +389,30 @@ def _jacobi_trudi(shape: Partition, h: list) -> list[list]:
 
 def _jacobi_trudi_exact(shape: Partition, values: tuple[Fraction, ...]) -> Fraction:
     h = list(_h_exact(values, _top_degree(shape)))
-    return _fraction_det(_jacobi_trudi(shape, h))
+    return _det(_jacobi_trudi(shape, h))
 
 
-def _fraction_det(matrix: list[list[Fraction]]) -> Fraction:
+def _det(matrix: list[list]):
+    """Determinant by Gaussian elimination with partial pivoting, in the
+    arithmetic of the entries: exact for Fractions, LU rounding for floats."""
     n = len(matrix)
     m = [row[:] for row in matrix]
-    det = Fraction(1)
+    det = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
+        pivot = max(range(col, n), key=lambda r: abs(m[r][col]))
+        if not m[pivot][col]:
+            return det * 0
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
+        top = m[col]
+        det *= top[col]
         for r in range(col + 1, n):
-            factor = m[r][col] * inv
+            row = m[r]
+            factor = row[col] / top[col]
             if factor:
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
+                for c in range(col + 1, n):
+                    row[c] -= factor * top[c]
     return det
 
 
@@ -604,107 +603,6 @@ def _spectral_radius(spec: RepSpec, x: ModuliVector, cap: int | None):
         inner = rep_moduli(spec.inner, x, cap)
         return _spectral_radius(spec.outer, inner, cap)
     raise TypeError(f"unknown rep spec {spec!r}")
-
-
-# --- explicit matrices ----------------------------------------------------------
-
-
-def rep_matrix(spec: RepSpec, a, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
-    """Matrix of pi(A) in the monomial / wedge basis.
-
-    Supported specs: Sym(m), Ext(k), and Tensor / DirectSum combinations
-    of those. The construction is multiplicative:
-    rep_matrix(spec, A @ B) = rep_matrix(spec, A) @ rep_matrix(spec, B).
-    """
-    m = to_complex(as_matrix(a))
-    _check_cap(spec, m.shape[0], cap)
-    return _rep_matrix(spec, m)
-
-
-def _rep_matrix(spec: RepSpec, m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    if isinstance(spec, Sym):
-        return _sym_power_matrix(m, spec.m)
-    if isinstance(spec, Ext):
-        if spec.k > n:
-            raise BadIndex(f"exterior power {spec.k} exceeds dimension {n}")
-        return _ext_power_matrix(m, spec.k)
-    if isinstance(spec, Tensor):
-        return np.kron(_rep_matrix(spec.left, m), _rep_matrix(spec.right, m))
-    if isinstance(spec, DirectSum):
-        return sla.block_diag(*[_rep_matrix(part, m) for part in spec.parts])
-    raise TypeError(
-        f"rep_matrix supports Sym, Ext, Tensor, DirectSum; got {spec!r}")
-
-
-def _ext_power_matrix(m: np.ndarray, k: int) -> np.ndarray:
-    """k-th compound matrix: entries are k x k minors (Cauchy-Binet)."""
-    n = m.shape[0]
-    basis = list(combinations(range(n), k))
-    out = np.empty((len(basis), len(basis)), dtype=complex)
-    for r, rows in enumerate(basis):
-        for c, cols in enumerate(basis):
-            if k == 0:
-                out[r, c] = 1.0
-            else:
-                out[r, c] = np.linalg.det(m[np.ix_(rows, cols)])
-    return out
-
-
-def _sym_power_matrix(m: np.ndarray, power: int) -> np.ndarray:
-    """m-th symmetric power in the monomial basis.
-
-    Column for the basis monomial e_{i_1}...e_{i_m} is the expansion of
-    (A e_{i_1}) ... (A e_{i_m}) as a commutative polynomial in the e's;
-    substitution is an algebra map, hence the construction is
-    multiplicative.
-    """
-    n = m.shape[0]
-    basis = list(combinations_with_replacement(range(n), power))
-    index = {mono: i for i, mono in enumerate(basis)}
-    out = np.zeros((len(basis), len(basis)), dtype=complex)
-    for c, mono in enumerate(basis):
-        poly: dict[tuple[int, ...], complex] = {(): 1.0 + 0j}
-        for i in mono:
-            nxt: dict[tuple[int, ...], complex] = {}
-            for key, coeff in poly.items():
-                for row in range(n):
-                    entry = m[row, i]
-                    if entry == 0:
-                        continue
-                    new_key = tuple(sorted(key + (row,)))
-                    nxt[new_key] = nxt.get(new_key, 0j) + coeff * entry
-            poly = nxt
-        for key, coeff in poly.items():
-            out[index[key], c] = coeff
-    return out
-
-
-# --- matrix -> moduli pipeline ---------------------------------------------------
-
-
-def matrix_moduli(g, cluster_tol: float = 1e-8) -> ModuliVector:
-    """Eigenvalue moduli of a matrix, sorted non-increasing.
-
-    These are exactly the eigenvalues of the hyperbolic factor of g.
-    """
-    spectrum = eigen_spectrum(g, cluster_tol)
-    return ModuliVector.from_values(spectrum.moduli())
-
-
-def moduli_from_eigenvalues(values) -> ModuliVector:
-    """Moduli of externally supplied eigenvalues; exact when possible.
-
-    Rational eigenvalues with exactly rational moduli yield an exact
-    vector; anything else falls back to floats.
-    """
-    exact: list[Fraction] = []
-    for z in values:
-        mod = exact_modulus(z)
-        if mod is None:
-            return ModuliVector.from_values([abs(complex(z)) for z in values])
-        exact.append(mod)
-    return ModuliVector.from_values(exact)
 
 
 def _as_moduli(x) -> ModuliVector:

@@ -8,12 +8,20 @@ library's evaluation paths.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
-from kostant import ModuliVector, apply_t_transforms
+from kostant import (
+    DirectSum,
+    Ext,
+    ModuliVector,
+    Sym,
+    Tensor,
+    apply_t_transforms,
+)
 
 
 @pytest.fixture
@@ -177,3 +185,64 @@ def hull_member_oracle(x_logs, y_logs) -> bool:
     replayed = apply_t_transforms(result.start.values, result.steps)
     assert list(replayed) == list(ys), "certificate replay failed"
     return True
+
+
+# --- explicit representation matrices ----------------------------------------
+
+
+def rep_matrix(spec, a) -> np.ndarray:
+    """Matrix of pi(A) in the monomial / wedge basis.
+
+    Supported specs: Sym(m), Ext(k), and Tensor / DirectSum combinations
+    of those. The construction is multiplicative:
+    rep_matrix(spec, A @ B) = rep_matrix(spec, A) @ rep_matrix(spec, B),
+    and its trace at a diagonal A is the character.
+    """
+    m = np.asarray(a, dtype=complex)
+    if isinstance(spec, Sym):
+        return _sym_power_matrix(m, spec.m)
+    if isinstance(spec, Ext):
+        return _ext_power_matrix(m, spec.k)
+    if isinstance(spec, Tensor):
+        return np.kron(rep_matrix(spec.left, m), rep_matrix(spec.right, m))
+    if isinstance(spec, DirectSum):
+        return block_diag(*[rep_matrix(part, m) for part in spec.parts])
+    raise TypeError(f"rep_matrix supports Sym, Ext, Tensor, DirectSum; got {spec!r}")
+
+
+def _ext_power_matrix(m: np.ndarray, k: int) -> np.ndarray:
+    """k-th compound matrix: entries are k x k minors (Cauchy-Binet)."""
+    basis = list(combinations(range(m.shape[0]), k))
+    out = np.ones((len(basis), len(basis)), dtype=complex)
+    if k:
+        for r, rows in enumerate(basis):
+            for c, cols in enumerate(basis):
+                out[r, c] = np.linalg.det(m[np.ix_(rows, cols)])
+    return out
+
+
+def _sym_power_matrix(m: np.ndarray, power: int) -> np.ndarray:
+    """m-th symmetric power in the monomial basis.
+
+    The column of the basis monomial e_{i_1}...e_{i_m} expands
+    (A e_{i_1}) ... (A e_{i_m}) as a commutative polynomial in the e's;
+    substitution is an algebra map, hence the construction is
+    multiplicative.
+    """
+    n = m.shape[0]
+    basis = list(combinations_with_replacement(range(n), power))
+    index = {mono: i for i, mono in enumerate(basis)}
+    out = np.zeros((len(basis), len(basis)), dtype=complex)
+    for c, mono in enumerate(basis):
+        poly: dict[tuple[int, ...], complex] = {(): 1.0 + 0j}
+        for i in mono:
+            nxt: dict[tuple[int, ...], complex] = {}
+            for key, coeff in poly.items():
+                for row in range(n):
+                    if m[row, i] != 0:
+                        new_key = tuple(sorted(key + (row,)))
+                        nxt[new_key] = nxt.get(new_key, 0j) + coeff * m[row, i]
+            poly = nxt
+        for key, coeff in poly.items():
+            out[index[key], c] = coeff
+    return out

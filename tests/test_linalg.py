@@ -107,6 +107,19 @@ class TestSpectralProjectors:
             sandwich = sum(p @ a @ p for p in d.projectors)
             assert mat_norm(sandwich - a) <= 1e-8 * mat_norm(a)
 
+    def test_projector_norms_match_formed_projectors(self, rng):
+        # two-dimensional clusters after the first block: complex Gram
+        # matrices on both sides of the trace formula
+        s = random_invertible(rng, 5, cond_cap=1e3)
+        middle = s @ np.diag([3.0, 1j, 1j, 0.5, 0.5]) @ np.linalg.inv(s)
+        cases = [random_invertible(rng, int(rng.integers(2, 9))),
+                 self._repeated_cluster_matrix(rng, 6), middle,
+                 np.array([[1.0, 1e5], [0.0, 1.0 + 1e-3]])]
+        for a in cases:
+            d = spectral_projectors(a)
+            want = [mat_norm(p) for p in d.projectors]
+            assert np.allclose(d.projector_norms(), want, rtol=1e-10)
+
     def test_norm_cap_raises(self):
         # projector norm ~ 1e7 / 1e-6 = 1e13, past the 1e12 cap
         a = np.array([[1.0, 1e7], [0.0, 1.0 + 1e-6]])

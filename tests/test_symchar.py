@@ -31,12 +31,11 @@ from kostant import (
     kostka_number,
     matrix_moduli,
     rep_dim,
-    rep_matrix,
     rep_moduli,
     schur,
     spectral_radius_rep,
 )
-from kostant.symchar import _h_exact, _last
+from kostant.symchar import _det, _h_exact, _last
 
 from conftest import (
     brute_force_h,
@@ -44,6 +43,7 @@ from conftest import (
     monomial_count,
     random_sl,
     random_sl_moduli,
+    rep_matrix,
 )
 
 
@@ -209,6 +209,30 @@ class TestSchur:
         with pytest.raises(LengthMismatch):
             schur((1, 1, 1), [2.0, 1.0])
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=4),
+           st.lists(st.floats(0.05, 20.0), min_size=5, max_size=5),
+           st.integers(1, 5))
+    def test_float_matches_tableau_enumeration(self, parts, values, n):
+        # the 1e-8 Hadamard cut leaves at most ~1e-8 relative error
+        shape = tuple(sorted(parts, reverse=True))
+        x = ModuliVector.from_values(values[:max(n, len(shape))])
+        exact = brute_force_schur(shape, x.as_fractions())
+        got = schur(shape, x)
+        assert isinstance(got, float)
+        assert abs(Fraction(got) - exact) <= Fraction(1, 10 ** 6) * exact
+
+    def test_row_swap_keeps_sign(self):
+        # moduli below 1: h_0 = 1 outweighs h_2 in the first column of the
+        # Jacobi-Trudi matrix [[h_2, h_3], [h_0, h_1]], so pivoting swaps rows
+        x = ModuliVector.from_values([0.5, 0.25])
+        h = [complete_homogeneous(d, x) for d in range(4)]
+        assert h[0] > h[2]
+        expected = brute_force_schur((2, 1), x.as_fractions())
+        assert math.isclose(schur((2, 1), x), expected, rel_tol=1e-12)
+        assert _det([[F(0), F(1)], [F(1), F(0)]]) == -1
+        assert _det([[2.0, 3.0], [4.0, 5.0]]) == -2.0
+
 
 class TestKostka:
     def test_known_values(self):
@@ -349,10 +373,6 @@ class TestRepMatrix:
             lhs = rep_matrix(spec, a @ b)
             rhs = rep_matrix(spec, a) @ rep_matrix(spec, b)
             assert np.allclose(lhs, rhs, atol=1e-9 * np.linalg.norm(rhs))
-
-    def test_dimension_cap(self, rng):
-        with pytest.raises(DimensionCap):
-            rep_matrix(Sym(10), random_sl(rng, 4), cap=200)
 
     def test_decomposition_commutes_with_rep(self, rng):
         # the induced matrix of the hyperbolic factor has the rep moduli
