@@ -5,7 +5,11 @@ eigenvalues), h is hyperbolic (diagonalizable, positive real eigenvalues),
 u is unipotent (all eigenvalues 1). On the generalized eigenspace of
 the eigenvalue z, h acts as |z|, e as z/|z| and u as g/z, so each factor
 is one product over the block diagonalization g = V T W of
-``linalg.spectral_projectors``; no Jordan basis is formed.
+``linalg.spectral_projectors``; no Jordan basis is formed. That kernel
+makes one Schur form per matrix and merges the clusters into which
+rounding splits a defective eigenvalue, so Jordan blocks of moderate
+size decompose; the only other eigenvalue computations are the
+independent checks of the spectra of e and h.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from .errors import IllConditioned, NotHyperbolic, NotUnipotent, Singular
 from .linalg import (
     SINGULARITY_THRESHOLD,
     as_matrix,
-    eigen_spectrum,
     identity_like,
     mat_norm,
     spectral_projectors,
@@ -65,23 +68,23 @@ def cmjd(g, tol: float = DEFAULT_TOL) -> CmjdTriple:
     """Decompose an invertible complex matrix into commuting e, h, u.
 
     Eigenvalues within tol (relative to the spectral radius) share one
-    cluster, whose value z gives h = V diag(|z|) W, e = V diag(z/|z|) W
-    and u = V diag(1/z) W g over the block diagonalization g = V T W.
+    cluster, and clusters within linalg.MERGE_RADIUS whose block is
+    nilpotent about its mean within tol are merged (a defective
+    eigenvalue split by rounding). A cluster's value z gives
+    h = V diag(|z|) W, e = V diag(z/|z|) W and u = V diag(1/z) W g over
+    the block diagonalization g = V T W.
 
     Never returns a triple that validate_cmjd rejects: raises
-    IllConditioned when any of its checks fails at tol (as when rounding
-    splits a defective eigenvalue into clusters), or from the block
+    IllConditioned when any of its checks fails at tol (as when a
+    defective eigenvalue stays split into clusters), or from the block
     diagonalization. Raises Singular for non-invertible input.
     """
     m = to_complex(as_matrix(g))
-    spectrum = eigen_spectrum(m, cluster_tol=tol)
-    radius = spectrum.radius
-    if radius == 0 or min(abs(v) for v in spectrum.values) <= SINGULARITY_THRESHOLD * radius:
-        raise Singular("matrix has an eigenvalue at (or numerically at) zero")
-    decomp = spectral_projectors(m, spectrum)
-
-    z = np.array(spectrum.values)
+    decomp = spectral_projectors(m, cluster_tol=tol)
+    z = np.array(decomp.spectrum.values)
     r = np.abs(z)
+    if r.max() == 0 or r.min() <= SINGULARITY_THRESHOLD * r.max():
+        raise Singular("matrix has an eigenvalue at (or numerically at) zero")
     h = decomp.combine(r)
     e = decomp.combine(z / r)
     u = decomp.combine(1.0 / z) @ m
@@ -151,18 +154,21 @@ def hyperbolic_log(h, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Real-semisimple logarithm of a hyperbolic matrix.
 
     X = V diag(log|z|) W = sum_i log|z_i| P_i over the block
-    diagonalization h = V T W; exp(X) = h. Raises NotHyperbolic if any
-    eigenvalue is non-positive-real beyond tolerance, or if h is not
-    diagonalizable: a nilpotent residue (h - zI) P_i = V_b (T_bb - zI) W_b
-    above tol * max(radius, 1) * max(||P_i||, 1).
+    diagonalization h = V T W from the one Schur form of h; exp(X) = h.
+    Raises NotHyperbolic if any eigenvalue is non-positive-real beyond
+    tolerance, or if h is not diagonalizable: a nilpotent residue
+    (h - zI) P_i = V_b (T_bb - zI) W_b above
+    tol * max(radius, 1) * max(||P_i||, 1). A defective eigenvalue that
+    rounding split is merged into one cluster first, so it meets this
+    check too.
     """
     m = to_complex(as_matrix(h))
-    spectrum = eigen_spectrum(m, cluster_tol=tol)
+    decomp = spectral_projectors(m, cluster_tol=tol)
+    spectrum = decomp.spectrum
     scale = max(spectrum.radius, 1.0)
     for z, _ in spectrum.clusters:
         if z.real <= 0 or abs(z.imag) > tol * scale:
             raise NotHyperbolic(f"eigenvalue {z} is not positive real")
-    decomp = spectral_projectors(m, spectrum)
     for (z, _), b, p_norm in zip(spectrum.clusters, decomp.blocks,
                                  decomp.projector_norms()):
         t_b = decomp.t[b, b] - z * np.eye(b.stop - b.start)

@@ -10,10 +10,17 @@ This is also the one place where a matrix becomes moduli: matrix_moduli
 eigenvalues, exact when their moduli are rational) hand the order and
 character layers a symchar.ModuliVector, and nothing more.
 
-No Jordan basis is ever formed. From one complex Schur form,
-``spectral_projectors`` block-diagonalizes g = V T W with W = V^-1, one
-block per eigenvalue cluster (Bavely & Stewart, SIAM J. Numer. Anal. 16,
-1979); then f(g) = sum_i f(z_i) P_i is the one product (V f) W.
+No Jordan basis is ever formed. Each matrix gets one factorization, its
+complex Schur form, and ``spectral_projectors`` clusters the eigenvalues
+on its diagonal, with the rule ``eigen_spectrum`` applies to the
+eigenvalues of ``matrix_moduli``. Clusters that rounding split off one
+defective eigenvalue (closer than MERGE_RADIUS, and nilpotent about
+their mean) are merged back. From that form it block-diagonalizes
+g = V T W with W = V^-1, one block per cluster: by one triangular
+back-substitution when every cluster is a single eigenvalue, otherwise
+by reordering and Sylvester decoupling (Bavely & Stewart, SIAM J.
+Numer. Anal. 16, 1979). Then f(g) = sum_i f(z_i) P_i is the one product
+(V f) W.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 import numpy as np
 import scipy.linalg as sla
@@ -31,6 +37,7 @@ from .errors import IllConditioned, NonConvergence
 from .symchar import ModuliVector
 
 DEFAULT_CLUSTER_TOL = 1e-8
+MERGE_RADIUS = 1e-3
 PROJECTOR_NORM_CAP = 1e12
 SINGULARITY_THRESHOLD = 1e-13
 
@@ -211,10 +218,6 @@ class Spectrum:
     cluster_tol: float
 
     @property
-    def dim(self) -> int:
-        return sum(m for _, m in self.clusters)
-
-    @property
     def values(self) -> tuple[complex, ...]:
         return tuple(v for v, _ in self.clusters)
 
@@ -234,14 +237,17 @@ class Spectrum:
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Block diagonalization g = V T W, with W = V^-1 and T block
-    diagonal; blocks[i] holds cluster i of ``spectrum.clusters``.
-    residual is max(||W V - I||, ||g V - V T||) (Frobenius, absolute)."""
+    diagonal; blocks[i] holds cluster i of ``spectrum.clusters``, and
+    labels[p] is the cluster of diagonal position p (blocks need not lie
+    in cluster order along the diagonal). residual is
+    max(||W V - I||, ||g V - V T||) (Frobenius, absolute)."""
 
     spectrum: Spectrum
     v: np.ndarray
     w: np.ndarray
     t: np.ndarray
     blocks: tuple[slice, ...]
+    labels: np.ndarray
     residual: float
 
     @property
@@ -251,9 +257,15 @@ class SpectralDecomposition:
 
     def projector_norms(self) -> list[float]:
         """Frobenius norms ||P_i||_F without forming P_i, from
-        ||V_b W_b||_F^2 = tr((V_b* V_b)(W_b W_b*)), O(n m_b^2) per block."""
+        ||V_b W_b||_F^2 = tr((V_b* V_b)(W_b W_b*)), O(n m_b^2) per block;
+        for a 1x1 block that is ||v_b|| ||w_b||."""
+        cols = np.linalg.norm(self.v, axis=0)
+        rows = np.linalg.norm(self.w, axis=1)
         norms = []
         for b in self.blocks:
+            if b.stop - b.start == 1:
+                norms.append(float(cols[b.start] * rows[b.start]))
+                continue
             v_b, w_b = self.v[:, b], self.w[b, :]
             gram = (v_b.conj().T @ v_b) * (w_b @ w_b.conj().T).T
             norms.append(math.sqrt(max(float(gram.sum().real), 0.0)))
@@ -261,9 +273,54 @@ class SpectralDecomposition:
 
     def combine(self, coeffs) -> np.ndarray:
         """sum_i coeffs[i] P_i, formed as the one product (V f) W."""
-        f = np.repeat(np.asarray(coeffs, dtype=complex),
-                      [m for _, m in self.spectrum.clusters])
+        f = np.asarray(coeffs, dtype=complex)[self.labels]
         return (self.v * f) @ self.w
+
+
+def _finite(a) -> np.ndarray:
+    m = to_complex(a)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix has non-finite entries")
+    return m
+
+
+def _threshold(values: np.ndarray, rel: float) -> float:
+    """rel times the largest modulus among values (times 1 if all vanish)."""
+    scale = float(np.max(np.abs(values)))
+    return rel * (scale if scale > 0 else 1.0)
+
+
+def _clusters(values: np.ndarray, thr: float) -> list[list[int]]:
+    """Indices of values grouped by single linkage on group means.
+
+    Merges the first pair of groups (in index order) whose means lie
+    within thr, then repeats until all means are more than thr apart. A
+    mean is the sum of the members in merge order over their count.
+    """
+    n = len(values)
+    close = np.abs(values[:, None] - values) <= thr
+    if np.count_nonzero(close) == n:  # only the diagonal: nothing merges
+        return [[i] for i in range(n)]
+    # a group keeps the slot of its first member; a merged-away slot dies,
+    # so index order over the live slots is the order of the groups
+    items = values.tolist()
+    groups = {i: [i] for i in range(n)}
+    means = values.astype(complex)
+    alive = np.ones(n, dtype=bool)
+    close = np.triu(close, 1)
+    hits = np.flatnonzero(close)
+    while hits.size:
+        i, j = divmod(int(hits[0]), n)
+        groups[i].extend(groups.pop(j))
+        alive[j] = False
+        close[j, :] = False
+        close[:, j] = False
+        means[i] = sum(items[k] for k in groups[i]) / len(groups[i])
+        near = (np.abs(means - means[i]) <= thr) & alive
+        close[i, i + 1:] = near[i + 1:]
+        close[:i, i] = near[:i]
+        hits = np.flatnonzero(close)
+    return list(groups.values())
 
 
 def eigen_spectrum(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
@@ -276,73 +333,82 @@ def eigen_spectrum(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
     """
     if cluster_tol < 0:
         raise ValueError("cluster_tol must be nonnegative")
-    m = to_complex(a)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
+    m = _finite(a)
     try:
         vals = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:  # QR iteration budget exhausted
         raise NonConvergence(str(exc)) from exc
-    scale = float(np.max(np.abs(vals)))
-    thr = cluster_tol * (scale if scale > 0 else 1.0)
-
-    # single-linkage merge, then re-merge until means separate by > thr
-    groups: list[list[complex]] = [[complex(v)] for v in vals]
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                mi = sum(groups[i]) / len(groups[i])
-                mj = sum(groups[j]) / len(groups[j])
-                if abs(mi - mj) <= thr:
-                    groups[i].extend(groups[j])
-                    del groups[j]
-                    merged = True
-                    break
-            if merged:
-                break
+    items = vals.tolist()
+    groups = _clusters(vals, _threshold(vals, cluster_tol))
     clusters = sorted(
-        ((sum(g) / len(g), len(g)) for g in groups),
+        ((sum(items[k] for k in g) / len(g), len(g)) for g in groups),
         key=lambda c: (-abs(c[0]), -c[0].real, -c[0].imag),
     )
     return Spectrum(clusters=tuple(clusters), cluster_tol=cluster_tol)
 
 
-def spectral_projectors(a, spectrum: Spectrum | None = None) -> SpectralDecomposition:
+def spectral_projectors(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralDecomposition:
     """Block-diagonalize a along its eigenvalue clusters, from one Schur form.
 
-    ztrsen reorders the Schur form a = Z T Z* so that each cluster (the
-    eigenvalues closest to its value) fills one contiguous block; ztrsyl
-    then decouples each block from the trailing part, accumulating
-    V = Z S and W = S^-1 Z*. The spectrum defaults to eigen_spectrum(a).
-    Raises IllConditioned when a reordering selects the wrong count, a
-    Sylvester equation is singular, or a projector's Frobenius norm
-    exceeds PROJECTOR_NORM_CAP (clusters too close for the tolerance).
-    """
-    m = to_complex(a)
-    n = m.shape[0]
-    if spectrum is None:
-        spectrum = eigen_spectrum(m)
-    if spectrum.dim != n:
-        raise ValueError("spectrum does not match matrix dimension")
-    mults = [mult for _, mult in spectrum.clusters]
-    ends = list(accumulate(mults))
-    blocks = tuple(slice(end - mult, end) for end, mult in zip(ends, mults))
-    if len(blocks) == 1:
-        eye = np.eye(n, dtype=complex)
-        return SpectralDecomposition(spectrum, eye, eye, m, blocks, 0.0)
+    The complex Schur form a = Z T Z* is the only factorization. Its
+    diagonal is clustered by the rule of eigen_spectrum. Rounding splits
+    a j x j Jordan block into j eigenvalues about eps^(1/j) apart, so
+    clusters whose means lie within MERGE_RADIUS (relative to the
+    spectral radius) are then merged into one block, after the blocking
+    of Davies & Higham (SIAM J. Matrix Anal. Appl. 25, 2003). A merge
+    holds only when the block minus its mean mu = trace / j is nilpotent
+    within the cluster threshold thr, to first order
+    ||(T_bb - mu I)^j|| <= thr ||T_bb - mu I||^(j-1); otherwise its
+    clusters stay apart. Each cluster value is the mean of its block's
+    diagonal.
 
-    values = np.array(spectrum.values)
-    t, z = sla.schur(m, output="complex")
-    for i, end in enumerate(ends[:-1]):
-        labels = np.argmin(np.abs(np.diag(t)[:, None] - values), axis=1)
-        t, z, _, count, _, _, info = ztrsen(labels <= i, t, z, job="N")
-        if info != 0 or count != end:
-            raise IllConditioned(
-                f"clusters 0..{i}: Schur reordering selected {count} eigenvalues, "
-                f"expected {end}; clusters too close for tolerance "
-                f"{spectrum.cluster_tol:g}")
+    When every cluster is one eigenvalue (the generic case), T is not
+    reordered: V = Z X and W = X^-1 Z*, with X the unit upper triangular
+    eigenvector matrix of T from one back-substitution. Otherwise ztrsen
+    gathers each cluster into a contiguous block and ztrsyl decouples
+    each block from the trailing part (Bavely & Stewart, SIAM J. Numer.
+    Anal. 16, 1979). Raises NonConvergence when the Schur form fails, and
+    IllConditioned when a reordering selects the wrong count, a Sylvester
+    equation is singular, or a projector's Frobenius norm exceeds
+    PROJECTOR_NORM_CAP (clusters too close for the tolerance).
+    """
+    if cluster_tol < 0:
+        raise ValueError("cluster_tol must be nonnegative")
+    m = _finite(a)
+    n = m.shape[0]
+    try:
+        t, z = sla.schur(m, output="complex")
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(str(exc)) from exc
+    diag = np.diag(t)
+    thr = _threshold(diag, cluster_tol)
+    groups = _clusters(diag, thr)
+    means = diag if len(groups) == n else np.array(
+        [diag[g].sum() / len(g) for g in groups])
+    units = _clusters(means, _threshold(diag, MERGE_RADIUS))
+    if len(units) == n:
+        return _simple_decomposition(m, t, z, cluster_tol)
+
+    cluster_at = np.empty(n, dtype=int)
+    for c, g in enumerate(groups):
+        cluster_at[g] = c
+    unit_of = np.empty(len(groups), dtype=int)
+    for u, unit in enumerate(units):
+        unit_of[unit] = u
+    t, z, perm = _gather(t, z, unit_of[cluster_at])
+    cluster_at = cluster_at[perm]
+    keys = unit_of[cluster_at]
+    for u, unit in enumerate(units):
+        if len(unit) > 1:
+            at = np.flatnonzero(keys == u)
+            b = slice(at[0], at[-1] + 1)
+            if not _nilpotent_about_mean(t[b, b], thr):
+                # no merge: each tol-cluster of the unit gets its own key
+                keys[b] = len(units) + cluster_at[b]
+    t, z, perm = _gather(t, z, keys)
+    keys = keys[perm]
+    bounds = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), n]
+    blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
     v, w = z, z.conj().T
     for b in blocks[:-1]:
@@ -354,12 +420,85 @@ def spectral_projectors(a, spectrum: Spectrum | None = None) -> SpectralDecompos
         x /= scale
         v[:, rest] -= v[:, b] @ x
         w[b, :] += x @ w[rest, :]
-    d = sla.block_diag(*(t[b, b] for b in blocks))
+    d = np.zeros_like(t)
+    for b in blocks:
+        d[b, b] = t[b, b]
+    diag = np.diag(t)
+    values = np.array([diag[b].sum() / (b.stop - b.start) for b in blocks])
+    return _assemble(m, v, w, d, blocks, values, cluster_tol)
 
+
+def _simple_decomposition(m, t, z, cluster_tol) -> SpectralDecomposition:
+    """Every eigenvalue its own cluster: T X = X diag(T) with X unit upper
+    triangular, X[i, j] = sum_{k>i} T[i, k] X[k, j] / (T[j, j] - T[i, i])."""
+    n = m.shape[0]
+    diag = np.diag(t)
+    x = np.eye(n, dtype=complex)
+    for i in range(n - 2, -1, -1):
+        x[i, i + 1:] = (t[i, i + 1:] @ x[i + 1:, i + 1:]) / (diag[i + 1:] - diag[i])
+    v = z @ x
+    w = sla.solve_triangular(x, z.conj().T, unit_diagonal=True, check_finite=False)
+    blocks = [slice(p, p + 1) for p in range(n)]
+    return _assemble(m, v, w, np.diag(diag), blocks, diag, cluster_tol)
+
+
+def _gather(t, z, keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reorder the Schur form so that positions with equal keys are
+    adjacent; returns t, z and perm, where keys[perm] are the new keys.
+
+    ztrsen moves the selected eigenvalues to the top in their order and
+    keeps the rest in theirs, so one call gathers one key behind the
+    keys already gathered.
+    """
+    n = len(keys)
+    perm = np.arange(n)
+    pos = 0
+    while pos < n:
+        current = keys[perm]
+        members = current == current[pos]
+        count = int(np.count_nonzero(members))
+        if not members[pos:pos + count].all():
+            members[:pos] = True
+            t, z, _, got, _, _, info = ztrsen(members, t, z, job="N")
+            if info != 0 or got != pos + count:
+                raise IllConditioned(
+                    f"Schur reordering selected {got} eigenvalues, expected "
+                    f"{pos + count}; clusters too close to reorder")
+            perm = np.concatenate((perm[members], perm[~members]))
+        pos += count
+    return t, z, perm
+
+
+def _nilpotent_about_mean(block: np.ndarray, thr: float) -> bool:
+    """Whether A = block - mu I, mu = trace / j, lies within about thr of a
+    nilpotent matrix: ||A^j|| <= thr ||A||^(j-1), evaluated on A / ||A||."""
+    j = block.shape[0]
+    a = block - (np.trace(block) / j) * np.eye(j)
+    size = np.linalg.norm(a)
+    if size == 0:
+        return True
+    a /= size
+    power = a
+    for _ in range(j - 1):
+        power = power @ a
+    return np.linalg.norm(power) * size <= thr
+
+
+def _assemble(m, v, w, d, blocks, values, cluster_tol) -> SpectralDecomposition:
+    """Sort the clusters by non-increasing modulus, check the residual
+    and the projector-norm cap."""
+    n = m.shape[0]
+    order = np.lexsort((-values.imag, -values.real, -np.abs(values)))
+    blocks = tuple(blocks[i] for i in order)
+    labels = np.empty(n, dtype=int)
+    for c, b in enumerate(blocks):
+        labels[b] = c
+    clusters = tuple(zip(values[order].tolist(), (b.stop - b.start for b in blocks)))
+    spectrum = Spectrum(clusters=clusters, cluster_tol=cluster_tol)
     residual = max(mat_norm(w @ v - np.eye(n)), mat_norm(m @ v - v @ d))
-    decomp = SpectralDecomposition(spectrum, v, w, d, blocks, residual)
+    decomp = SpectralDecomposition(spectrum, v, w, d, blocks, labels, residual)
     worst = max(decomp.projector_norms())
-    if worst > PROJECTOR_NORM_CAP:
+    if not worst <= PROJECTOR_NORM_CAP:
         raise IllConditioned(
             f"projector norm {worst:.3e} exceeds cap {PROJECTOR_NORM_CAP:.3e}")
     return decomp

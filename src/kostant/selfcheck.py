@@ -1,8 +1,8 @@
 """Bundled invariant suites at desk scale.
 
 Each suite replays a core guarantee on small random inputs with a fixed
-seed: projector algebra, decomposition round trips (a Jordan block must
-validate or raise), character values against brute-force enumeration,
+seed: projector algebra, decomposition round trips (a Jordan block
+included), character values against brute-force enumeration,
 order decisions against the exterior-power radius test, and witness
 construction on non-dominated pairs. The fault-injection flag perturbs
 the unipotent factor before validation so the reconstruction check must
@@ -19,7 +19,6 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .cmjd import cmjd, validate_cmjd
-from .errors import IllConditioned
 from .linalg import mat_norm, spectral_projectors
 from .order import (
     EQUAL,
@@ -99,15 +98,10 @@ def _suite_projectors(rng) -> SuiteResult:
 def _suite_cmjd(rng, inject_fault: bool) -> SuiteResult:
     worst = 0.0
     cases = [_random_sl(rng, n) for n in rng.integers(2, 6, size=10)]
-    # rounding splits the eigenvalue of a Jordan block: cmjd may refuse
+    # rounding splits the eigenvalue of a Jordan block; cmjd merges it back
     jordan = _similar_to(rng, 2 * np.eye(3) + np.eye(3, k=1))
     for g in cases + [jordan]:
-        try:
-            triple = cmjd(g)
-        except IllConditioned:
-            if g is jordan:
-                continue
-            raise
+        triple = cmjd(g)
         if inject_fault:
             bad = triple.unipotent.copy()
             bad[0, -1] += 1e-6

@@ -1,7 +1,9 @@
 """JSON schemas for matrices, moduli vectors, rep specs, and results.
 
 Scalars: a plain number is a float; a string "p/q" (or "p") is an exact
-rational. A complex entry is {"re": scalar, "im": scalar}. Matrices are
+rational. A complex entry is {"re": scalar, "im": scalar}; either part
+may be left out (it is then 0), and a bare scalar, number or string, is
+a real entry: 2, "1/2" and {"re": "1/2"} are all accepted. Matrices are
 {"n": int, "entries": [[complex, ...], ...]} row-major, optionally with
 "eigenvalues": [complex, ...] supplied externally for the exact path.
 Moduli vectors are {"values": [scalar, ...]}. Rep specs:
@@ -71,8 +73,9 @@ def parse_scalar(value, exact: bool):
 
 
 def parse_complex(obj, exact: bool):
-    """{"re": s, "im": s} -> complex (float mode) or ComplexRational."""
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+    """{"re": s, "im": s} or a bare real scalar -> complex (float mode) or
+    ComplexRational."""
+    if isinstance(obj, (int, float, str)) and not isinstance(obj, bool):
         obj = {"re": obj, "im": 0}
     if not isinstance(obj, dict) or not set(obj) <= {"re", "im"}:
         raise ParseError(f"expected a complex entry, got {obj!r}")

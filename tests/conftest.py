@@ -69,6 +69,35 @@ def random_unitary(rng, n: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def jordan_direct_sum(rng, sizes, gap: float = 0.05):
+    """Q diag(z_b (I + N_b)) Q* over Jordan blocks of the given sizes.
+
+    The eigenvalues z_b lie at least gap apart, N_b has superdiagonal
+    entries in [0.5, 1.5] and Q is a random unitary. Returns g with the
+    factors (e, h, u) read off the blocks: Q diag(z/|z|) Q*,
+    Q diag(|z|) Q* and Q (I + N) Q*.
+    """
+    k, n = len(sizes), sum(sizes)
+    while True:
+        z = np.exp(0.3 * rng.normal(size=k) + 2j * np.pi * rng.uniform(size=k))
+        if k == 1 or (np.abs(z[:, None] - z) + np.eye(k)).min() >= gap:
+            break
+    diag = np.repeat(z, sizes)
+    unip = np.eye(n, dtype=complex)
+    start = 0
+    for size in sizes:
+        for a in range(start, start + size - 1):
+            unip[a, a + 1] = rng.uniform(0.5, 1.5)
+        start += size
+    q = random_unitary(rng, n)
+    qh = q.conj().T
+    g = q @ (np.diag(diag) @ unip) @ qh
+    factors = (q @ np.diag(diag / np.abs(diag)) @ qh,
+               q @ np.diag(np.abs(diag)) @ qh,
+               q @ unip @ qh)
+    return g, factors
+
+
 def random_sl_moduli(rng, n: int, spread: float = 1.0) -> ModuliVector:
     logs = spread * rng.normal(size=n)
     logs -= logs.mean()

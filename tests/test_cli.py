@@ -74,3 +74,17 @@ def test_out_writes_the_report(inputs, tmp_path, capsys):
 def test_dim_cap_reaches_the_witness_search(inputs, capsys):
     assert main(commands(inputs)["witness"] + ["--dim-cap", "1"]) == 2
     assert json.loads(capsys.readouterr().out)["error"] == "DimensionCap"
+
+
+def test_rational_string_entries(tmp_path, capsys):
+    # bare strings are real entries, as bare numbers are
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"entries": [[2, 1], [0, "1/2"]],
+                                "eigenvalues": [2, "1/2"]}))
+    assert main(["decompose", "--g", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["hyperbolic"]["entries"][1][1] == {"re": 0.5, "im": 0.0}
+    assert main(["order", "--exact", "--g1", str(path), "--g2", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["relation"] == "EQUAL"
+    assert report["moduli_1"] == ["2", "1/2"]

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from kostant import (
@@ -14,11 +17,14 @@ from kostant import (
     cmjd,
     hyperbolic_log,
     mat_norm,
+    spectral_projectors,
     unipotent_log,
     validate_cmjd,
 )
+import kostant.linalg
 
 from conftest import (
+    jordan_direct_sum,
     random_invertible,
     random_sl,
     random_unipotent,
@@ -115,9 +121,62 @@ class TestCmjdProperties:
                 mat_norm(h), 1.0)
 
 
+def factor_errors(triple, expected):
+    """Relative Frobenius distance of e, h, u from the expected factors."""
+    return [mat_norm(got - want) / max(mat_norm(want), 1.0)
+            for got, want in zip((triple.elliptic, triple.hyperbolic,
+                                  triple.unipotent), expected)]
+
+
 class TestCmjdJordanBlocks:
-    """Rounding splits a defective eigenvalue into clusters about
-    eps^(1/j) apart; cmjd must then raise, never return a bad triple."""
+    """Rounding splits a j x j Jordan block into j eigenvalues about
+    eps^(1/j) apart; cmjd merges them back when the block is nilpotent
+    about its mean, and otherwise raises, never returning a bad triple."""
+
+    def test_direct_sums_match_construction(self, rng):
+        for _ in range(30):
+            sizes = []
+            while sum(sizes) < int(rng.integers(4, 25)):
+                sizes.append(int(rng.integers(2, 5)))
+            g, expected = jordan_direct_sum(rng, sizes)
+            t = cmjd(g)
+            assert validate_cmjd(g, t).passed
+            assert max(factor_errors(t, expected)) <= 1e-6
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(2, 4), min_size=1, max_size=6),
+           st.integers(0, 2 ** 32 - 1))
+    def test_direct_sums_match_construction_hypothesis(self, sizes, seed):
+        g, expected = jordan_direct_sum(np.random.default_rng(seed), sizes)
+        t = cmjd(g)
+        assert validate_cmjd(g, t).passed
+        assert max(factor_errors(t, expected)) <= 1e-6
+
+    def test_merge_takes_the_block_mean(self, rng):
+        # a 4x4 block splits by about 1e-4, so any one split eigenvalue
+        # misses the true one by far more than the trace mean does
+        g, expected = jordan_direct_sum(rng, [4, 2])
+        d = spectral_projectors(g)
+        assert sorted(m for _, m in d.spectrum.clusters) == [2, 4]
+        want = np.linalg.eigvals(expected[0] @ expected[1])
+        for z, _ in d.spectrum.clusters:
+            assert np.min(np.abs(want - z)) <= 1e-9
+
+    def test_non_defective_pair_inside_merge_radius_stays_split(self, rng):
+        # diagonalizable, with two eigenvalues 1e-4 .. 1e-6 apart relative
+        # to the spectral radius: inside the merge radius, but the pair is
+        # far from nilpotent about its mean, so each keeps its own cluster
+        for rel in (1e-4, 1e-5, 1e-6):
+            z = np.array([2.0, 2.0 * (1 + rel), -0.7 + 0.4j, 0.3j, 1.1])
+            for q in (random_unitary(rng, 5),
+                      random_invertible(rng, 5, cond_cap=10.0)):
+                qi = np.linalg.inv(q)
+                g = q @ np.diag(z) @ qi
+                assert len(spectral_projectors(g).spectrum.clusters) == 5
+                expected = (q @ np.diag(z / np.abs(z)) @ qi,
+                            q @ np.diag(np.abs(z)) @ qi, np.eye(5))
+                t = cmjd(g)
+                assert max(factor_errors(t, expected)) <= 1e-6
 
     def test_jordan_block_validates_or_raises(self, rng):
         raised = 0
@@ -144,6 +203,43 @@ class TestCmjdJordanBlocks:
         assert np.allclose(t.elliptic, np.diag([1.0, 1.0, -1.0]))
         assert np.allclose(t.unipotent, [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0],
                                          [0.0, 0.0, 1.0]])
+
+
+class TestOneFactorization:
+    """cmjd computes one Schur form; its only other eigenvalue calls are
+    the independent checks of the spectra of e and h."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"schur": 0, "eigvals": 0, "block_diag": 0, "ztrsen": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, name in ((scipy.linalg, "schur"), (np.linalg, "eigvals"),
+                             (scipy.linalg, "block_diag"),
+                             (kostant.linalg, "ztrsen")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        return counts
+
+    def test_generic_input(self, rng, calls):
+        cmjd(random_sl(rng, 12))
+        assert calls == {"schur": 1, "eigvals": 2, "block_diag": 0, "ztrsen": 0}
+
+    def test_jordan_input(self, rng, calls):
+        g, _ = jordan_direct_sum(rng, [3, 2, 4])
+        cmjd(g)
+        assert calls["schur"] == 1 and calls["eigvals"] == 2
+        assert calls["block_diag"] == 0
+
+    def test_hyperbolic_log(self, rng, calls):
+        h = cmjd(random_sl(rng, 8)).hyperbolic
+        calls.update(schur=0, eigvals=0)
+        hyperbolic_log(h)
+        assert calls == {"schur": 1, "eigvals": 0, "block_diag": 0, "ztrsen": 0}
 
 
 class TestUnipotentLog:
@@ -198,6 +294,21 @@ class TestHyperbolicLog:
     def test_nondiagonalizable_raises(self):
         with pytest.raises(NotHyperbolic):
             hyperbolic_log(np.array([[2.0, 1.0], [0.0, 2.0]]))
+
+    def test_defective_positive_cluster_raises(self, rng):
+        for size in (2, 3):
+            for _ in range(5):
+                q = random_unitary(rng, size)
+                block = 2.0 * np.eye(size) + np.eye(size, k=1)
+                h = q @ block @ q.conj().T
+                # the 3x3 block splits beyond tol, so this needs the merge
+                assert spectral_projectors(h).spectrum.clusters[0][1] == size
+                with pytest.raises(NotHyperbolic):
+                    hyperbolic_log(h)
+        s = random_invertible(rng, 4, cond_cap=1e3)
+        block = np.diag([3.0, 3.0, 3.0, 0.5]) + np.diag([1.0, 1.0, 0.0], k=1)
+        with pytest.raises(NotHyperbolic):
+            hyperbolic_log(s @ block @ np.linalg.inv(s))
 
     def test_repeated_positive_eigenvalue(self, rng):
         s = random_invertible(rng, 5, cond_cap=1e3)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kostant import (
     IllConditioned,
@@ -9,7 +11,7 @@ from kostant import (
     mat_norm,
     spectral_projectors,
 )
-from kostant.linalg import ComplexRational, to_complex
+from kostant.linalg import ComplexRational, _clusters, to_complex
 
 from conftest import random_invertible, random_unitary
 
@@ -17,6 +19,45 @@ from conftest import random_invertible, random_unitary
 def cluster_dict(spectrum, digits=6):
     return {complex(round(v.real, digits), round(v.imag, digits)): m
             for v, m in spectrum.clusters}
+
+
+def reference_clusters(values, thr):
+    """The clustering loop as first written: merge the first pair of
+    groups whose means lie within thr, recompute every mean, repeat."""
+    groups = [[complex(v)] for v in values]
+    merged = True
+    while merged:
+        merged = False
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                mi = sum(groups[i]) / len(groups[i])
+                mj = sum(groups[j]) / len(groups[j])
+                if abs(mi - mj) <= thr:
+                    groups[i].extend(groups[j])
+                    del groups[j]
+                    merged = True
+                    break
+            if merged:
+                break
+    return groups
+
+
+class TestClusters:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                              st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                    min_size=1, max_size=14),
+           st.sampled_from([0.0, 0.3, 1.0, 1.5]))
+    def test_matches_reference_loop(self, points, thr):
+        # grid points plus jitter of up to half the threshold: chains of
+        # near neighbours, where merge order changes the means
+        values = np.array([complex(a + 0.5 * thr * x, b + 0.5 * thr * y)
+                           for a, b, x, y in points])
+        groups = _clusters(values, thr)
+        want = reference_clusters(values, thr)
+        assert [[complex(values[k]) for k in g] for g in groups] == want
+        means = [sum(complex(values[k]) for k in g) / len(g) for g in groups]
+        assert means == [sum(g) / len(g) for g in want]
 
 
 class TestEigenSpectrum:
@@ -114,15 +155,16 @@ class TestSpectralProjectors:
         middle = s @ np.diag([3.0, 1j, 1j, 0.5, 0.5]) @ np.linalg.inv(s)
         cases = [random_invertible(rng, int(rng.integers(2, 9))),
                  self._repeated_cluster_matrix(rng, 6), middle,
-                 np.array([[1.0, 1e5], [0.0, 1.0 + 1e-3]])]
+                 np.array([[1.0, 1e5], [0.0, 1.0 + 1e-2]])]
         for a in cases:
             d = spectral_projectors(a)
             want = [mat_norm(p) for p in d.projectors]
             assert np.allclose(d.projector_norms(), want, rtol=1e-10)
 
     def test_norm_cap_raises(self):
-        # projector norm ~ 1e7 / 1e-6 = 1e13, past the 1e12 cap
-        a = np.array([[1.0, 1e7], [0.0, 1.0 + 1e-6]])
+        # eigenvalues 1e-2 apart, beyond the merge radius; projector norm
+        # ~ 1e11 / 1e-2 = 1e13, past the 1e12 cap
+        a = np.array([[1.0, 1e11], [0.0, 1.01]])
         with pytest.raises(IllConditioned):
             spectral_projectors(a)
 
