@@ -69,8 +69,8 @@ def cmjd(g, tol: float = DEFAULT_TOL) -> CmjdTriple:
 
     Eigenvalues within tol (relative to the spectral radius) share one
     cluster, and clusters within linalg.MERGE_RADIUS whose block is
-    nilpotent about its mean within tol are merged (a defective
-    eigenvalue split by rounding). A cluster's value z gives
+    nilpotent about its mean up to rounding are merged (a defective
+    eigenvalue split by rounding; see linalg.spectral_projectors). A cluster's value z gives
     h = V diag(|z|) W, e = V diag(z/|z|) W and u = V diag(1/z) W g over
     the block diagonalization g = V T W.
 

@@ -15,7 +15,7 @@ complex Schur form, and ``spectral_projectors`` clusters the eigenvalues
 on its diagonal, with the rule ``eigen_spectrum`` applies to the
 eigenvalues of ``matrix_moduli``. Clusters that rounding split off one
 defective eigenvalue (closer than MERGE_RADIUS, and nilpotent about
-their mean) are merged back. From that form it block-diagonalizes
+their mean up to rounding) are merged back. From that form it block-diagonalizes
 g = V T W with W = V^-1, one block per cluster: by one triangular
 back-substitution when every cluster is a single eigenvalue, otherwise
 by reordering and Sylvester decoupling (Bavely & Stewart, SIAM J.
@@ -38,6 +38,7 @@ from .symchar import ModuliVector
 
 DEFAULT_CLUSTER_TOL = 1e-8
 MERGE_RADIUS = 1e-3
+MERGE_ROUNDING = 100 * np.finfo(float).eps
 PROJECTOR_NORM_CAP = 1e12
 SINGULARITY_THRESHOLD = 1e-13
 
@@ -257,19 +258,19 @@ class SpectralDecomposition:
 
     def projector_norms(self) -> list[float]:
         """Frobenius norms ||P_i||_F without forming P_i, from
-        ||V_b W_b||_F^2 = tr((V_b* V_b)(W_b W_b*)), O(n m_b^2) per block;
-        for a 1x1 block that is ||v_b|| ||w_b||."""
-        cols = np.linalg.norm(self.v, axis=0)
-        rows = np.linalg.norm(self.w, axis=1)
-        norms = []
-        for b in self.blocks:
-            if b.stop - b.start == 1:
-                norms.append(float(cols[b.start] * rows[b.start]))
-                continue
-            v_b, w_b = self.v[:, b], self.w[b, :]
-            gram = (v_b.conj().T @ v_b) * (w_b @ w_b.conj().T).T
-            norms.append(math.sqrt(max(float(gram.sum().real), 0.0)))
-        return norms
+        ||V_b W_b||_F^2 = sum_{p,q in b} (V* V)_pq (W W*)_qp: the terms
+        p = q, plus twice the real part of each p < q, taken for all
+        blocks at once one offset q - p at a time."""
+        v, w, labels = self.v, self.w, self.labels
+        sq = (np.einsum("ij,ij->j", v.conj(), v).real
+              * np.einsum("ij,ij->i", w, w.conj()).real)
+        for k in range(1, max(b.stop - b.start for b in self.blocks)):
+            same = labels[:-k] == labels[k:]
+            vv = np.einsum("ij,ij->j", v[:, :-k].conj(), v[:, k:])
+            ww = np.einsum("ij,ij->i", w[k:], w[:-k].conj())
+            sq[:-k] += 2 * np.where(same, (vv * ww).real, 0.0)
+        sq = np.bincount(labels, weights=sq, minlength=len(self.blocks))
+        return np.sqrt(np.maximum(sq, 0.0)).tolist()
 
     def combine(self, coeffs) -> np.ndarray:
         """sum_i coeffs[i] P_i, formed as the one product (V f) W."""
@@ -356,11 +357,16 @@ def spectral_projectors(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectral
     clusters whose means lie within MERGE_RADIUS (relative to the
     spectral radius) are then merged into one block, after the blocking
     of Davies & Higham (SIAM J. Matrix Anal. Appl. 25, 2003). A merge
-    holds only when the block minus its mean mu = trace / j is nilpotent
-    within the cluster threshold thr, to first order
-    ||(T_bb - mu I)^j|| <= thr ||T_bb - mu I||^(j-1); otherwise its
-    clusters stay apart. Each cluster value is the mean of its block's
-    diagonal.
+    holds only when rounding explains the split: the block minus its
+    mean mu = trace / j is nilpotent up to a backward error of
+    MERGE_ROUNDING ||T||_F, to first order
+    ||(T_bb - mu I)^j|| <= MERGE_ROUNDING ||T||_F ||T_bb - mu I||^(j-1).
+    A Jordan block split by rounding gives a few eps ||T||_F there; a
+    diagonalizable pair d apart with coupling s gives sqrt(2) d^2 / (4 s),
+    sqrt(2) times its distance d^2 / (4 s) from a defective matrix, so
+    only a pair that close to defective (about 70 eps ||T||_F) merges.
+    Otherwise the clusters stay apart. Each cluster value is the mean of
+    its block's diagonal.
 
     When every cluster is one eigenvalue (the generic case), T is not
     reordered: V = Z X and W = X^-1 Z*, with X the unit upper triangular
@@ -398,11 +404,12 @@ def spectral_projectors(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectral
     t, z, perm = _gather(t, z, unit_of[cluster_at])
     cluster_at = cluster_at[perm]
     keys = unit_of[cluster_at]
+    bound = MERGE_ROUNDING * np.linalg.norm(t)
     for u, unit in enumerate(units):
         if len(unit) > 1:
             at = np.flatnonzero(keys == u)
             b = slice(at[0], at[-1] + 1)
-            if not _nilpotent_about_mean(t[b, b], thr):
+            if not _nilpotent_about_mean(t[b, b], bound):
                 # no merge: each tol-cluster of the unit gets its own key
                 keys[b] = len(units) + cluster_at[b]
     t, z, perm = _gather(t, z, keys)
@@ -469,9 +476,10 @@ def _gather(t, z, keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t, z, perm
 
 
-def _nilpotent_about_mean(block: np.ndarray, thr: float) -> bool:
-    """Whether A = block - mu I, mu = trace / j, lies within about thr of a
-    nilpotent matrix: ||A^j|| <= thr ||A||^(j-1), evaluated on A / ||A||."""
+def _nilpotent_about_mean(block: np.ndarray, bound: float) -> bool:
+    """Whether A = block - mu I, mu = trace / j, lies within about bound
+    of a nilpotent matrix: ||A^j|| <= bound ||A||^(j-1), evaluated on
+    A / ||A||."""
     j = block.shape[0]
     a = block - (np.trace(block) / j) * np.eye(j)
     size = np.linalg.norm(a)
@@ -481,7 +489,7 @@ def _nilpotent_about_mean(block: np.ndarray, thr: float) -> bool:
     power = a
     for _ in range(j - 1):
         power = power @ a
-    return np.linalg.norm(power) * size <= thr
+    return np.linalg.norm(power) * size <= bound
 
 
 def _assemble(m, v, w, d, blocks, values, cluster_tol) -> SpectralDecomposition:

@@ -165,18 +165,35 @@ class TestCmjdJordanBlocks:
     def test_non_defective_pair_inside_merge_radius_stays_split(self, rng):
         # diagonalizable, with two eigenvalues 1e-4 .. 1e-6 apart relative
         # to the spectral radius: inside the merge radius, but the pair is
-        # far from nilpotent about its mean, so each keeps its own cluster
+        # farther from nilpotent about its mean than rounding explains, so
+        # each keeps its own cluster. In `near` the pair's eigenvectors are
+        # 1e-4 apart (cond about 1e4), so the Schur form couples the pair
+        # strongly and its block lies close to, yet not within rounding of,
+        # a nilpotent one.
         for rel in (1e-4, 1e-5, 1e-6):
             z = np.array([2.0, 2.0 * (1 + rel), -0.7 + 0.4j, 0.3j, 1.1])
-            for q in (random_unitary(rng, 5),
-                      random_invertible(rng, 5, cond_cap=10.0)):
+            near = random_invertible(rng, 5, cond_cap=10.0)
+            near[:, 1] = near[:, 0] + 1e-4 * near[:, 1]
+            for q, tol in ((random_unitary(rng, 5), 1e-6),
+                           (random_invertible(rng, 5, cond_cap=10.0), 1e-6),
+                           (near, 1e-3)):
                 qi = np.linalg.inv(q)
                 g = q @ np.diag(z) @ qi
                 assert len(spectral_projectors(g).spectrum.clusters) == 5
                 expected = (q @ np.diag(z / np.abs(z)) @ qi,
                             q @ np.diag(np.abs(z)) @ qi, np.eye(5))
                 t = cmjd(g)
-                assert max(factor_errors(t, expected)) <= 1e-6
+                assert max(factor_errors(t, expected)) <= tol
+
+    def test_coupled_pair_beyond_rounding_stays_split(self):
+        # eigenvalues 1e-4 apart with coupling 1, projector norm about 1e4:
+        # the matrix lies 2.5e-9 from a defective one, far beyond rounding
+        g = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-4]])
+        assert len(spectral_projectors(g).spectrum.clusters) == 2
+        t = cmjd(g)
+        assert validate_cmjd(g, t).passed
+        assert mat_norm(t.unipotent - np.eye(2)) <= 1e-9
+        assert mat_norm(t.hyperbolic - g) <= 1e-9
 
     def test_jordan_block_validates_or_raises(self, rng):
         raised = 0
@@ -309,6 +326,13 @@ class TestHyperbolicLog:
         block = np.diag([3.0, 3.0, 3.0, 0.5]) + np.diag([1.0, 1.0, 0.0], k=1)
         with pytest.raises(NotHyperbolic):
             hyperbolic_log(s @ block @ np.linalg.inv(s))
+
+    def test_coupled_pair_beyond_rounding(self):
+        # diagonalizable, 1e-4 from defective: a logarithm, not a merge
+        h = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-4]])
+        x = hyperbolic_log(h)
+        assert mat_norm(expm(x) - h) <= 1e-9 * mat_norm(h)
+        assert abs(x[1, 1] - np.log1p(1e-4)) <= 1e-12
 
     def test_repeated_positive_eigenvalue(self, rng):
         s = random_invertible(rng, 5, cond_cap=1e3)
