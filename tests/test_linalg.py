@@ -13,7 +13,7 @@ from kostant import (
 )
 from kostant.linalg import ComplexRational, _clusters, to_complex
 
-from conftest import random_invertible, random_unitary
+from conftest import jordan_direct_sum, random_invertible, random_unitary
 
 
 def cluster_dict(spectrum, digits=6):
@@ -150,12 +150,14 @@ class TestSpectralProjectors:
 
     def test_projector_norms_match_formed_projectors(self, rng):
         # two-dimensional clusters after the first block: complex Gram
-        # matrices on both sides of the trace formula
+        # matrices on both sides of the trace formula; merged Jordan
+        # blocks of sizes 2-4 in an order other than the clusters'
         s = random_invertible(rng, 5, cond_cap=1e3)
         middle = s @ np.diag([3.0, 1j, 1j, 0.5, 0.5]) @ np.linalg.inv(s)
         cases = [random_invertible(rng, int(rng.integers(2, 9))),
                  self._repeated_cluster_matrix(rng, 6), middle,
-                 np.array([[1.0, 1e5], [0.0, 1.0 + 1e-2]])]
+                 np.array([[1.0, 1e5], [0.0, 1.0 + 1e-2]]),
+                 jordan_direct_sum(rng, [3, 2, 4, 2])[0]]
         for a in cases:
             d = spectral_projectors(a)
             want = [mat_norm(p) for p in d.projectors]
