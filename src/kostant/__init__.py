@@ -49,6 +49,7 @@ from .order import (
     GEQ,
     INCOMPARABLE,
     LEQ,
+    LogValue,
     LogVector,
     OrderVerdict,
     SeparatingFunctional,

@@ -33,6 +33,7 @@ from .errors import (
     LengthMismatch,
     NotSeparable,
     OrderHolds,
+    Overflow,
     PreconditionFailed,
     SumMismatch,
 )
@@ -164,8 +165,9 @@ class SeparatingWitness:
     """A representation whose absolute character strictly separates y over x.
 
     spec = Compose(Sym(m), Ext(k)) with k the first failing prefix level;
-    chi_1 < chi_2 are the evaluated character values; paper_bound_m is the
-    guaranteed sufficient symmetric-power degree (m <= paper_bound_m).
+    chi_1 < chi_2 are the evaluated character values, both LogValues when
+    either is past float range; paper_bound_m is the guaranteed
+    sufficient symmetric-power degree (m <= paper_bound_m).
     """
 
     k: int
@@ -175,6 +177,14 @@ class SeparatingWitness:
     chi_2: object
     paper_bound_m: int
     dimension: int
+
+
+@dataclass(frozen=True, order=True)
+class LogValue:
+    """A positive value kept as its natural log, for where floats
+    overflow; LogValues order as their values do."""
+
+    log: float
 
 
 @dataclass(frozen=True)
@@ -569,8 +579,12 @@ def find_separating_character(x, y, *,
             continue
         spec = Compose(Sym(m_min), Ext(k))
         dimension = rep_dim(spec, n)
-        chi_1 = complete_homogeneous(m_min, ext_x)
-        chi_2 = complete_homogeneous(m_min, ext_y)
+        try:
+            chi_1 = complete_homogeneous(m_min, ext_x)
+            chi_2 = complete_homogeneous(m_min, ext_y)
+        except Overflow:
+            chi_1 = LogValue(complete_homogeneous_log(m_min, ext_x))
+            chi_2 = LogValue(complete_homogeneous_log(m_min, ext_y))
         if _h_cmp(m_min, ext_y, ext_x) <= 0:
             raise AssertionError("witness failed its strict character comparison")
         return SeparatingWitness(k=k, m=m_min, spec=spec, chi_1=chi_1,

@@ -2,8 +2,9 @@
 
 Each suite replays a core guarantee on small random inputs with a fixed
 seed: projector algebra, decomposition round trips (a Jordan block
-included), character values against brute-force enumeration,
-order decisions against the exterior-power radius test, and witness
+included), character values against brute-force enumeration, Schur
+weights against Jacobi-Trudi and the hook-content dimension, order
+decisions against the exterior-power radius test, and witness
 construction on non-dominated pairs. The fault-injection flag perturbs
 the unipotent factor before validation so the reconstruction check must
 fail (used to test failure plumbing end to end).
@@ -32,8 +33,12 @@ from .order import (
 from .symchar import (
     Ext,
     ModuliVector,
+    Partition,
+    Schur,
     complete_homogeneous,
     elementary,
+    rep_dim,
+    rep_moduli,
     schur,
     spectral_radius_rep,
 )
@@ -148,6 +153,15 @@ def _suite_characters(rng) -> SuiteResult:
     )
     if not all(checks):
         return SuiteResult("characters", False, "anchor value mismatch")
+    # three independent Schur computations: Gelfand-Tsetlin weights,
+    # exact Jacobi-Trudi and the hook-content dimension
+    x = ModuliVector.from_values([Fraction(5, 2), 2, 1, Fraction(1, 3)])
+    for shape in ((2, 1), (2, 2), (3, 1, 1), (3, 2, 1), (2, 2, 1, 1)):
+        spec = Schur(Partition(shape))
+        weights = rep_moduli(spec, x).values
+        if sum(weights) != schur(shape, x) or len(weights) != rep_dim(spec, x.n):
+            return SuiteResult("characters", False,
+                               f"Schur weights of {shape} disagree")
     return SuiteResult("characters", True, "enumeration oracles agree")
 
 
@@ -193,7 +207,7 @@ def _suite_witness(rng) -> SuiteResult:
         if kostant_compare(x, y).relation in (GEQ, EQUAL):
             continue
         witness = find_separating_character(x, y)
-        if not float(witness.chi_1) < float(witness.chi_2):
+        if not witness.chi_1 < witness.chi_2:
             return SuiteResult("witness", False, "chi_1 >= chi_2")
         if witness.m > witness.paper_bound_m:
             return SuiteResult("witness", False, "m exceeds the paper bound")

@@ -6,7 +6,9 @@ may be left out (it is then 0), and a bare scalar, number or string, is
 a real entry: 2, "1/2" and {"re": "1/2"} are all accepted. Matrices are
 {"n": int, "entries": [[complex, ...], ...]} row-major, optionally with
 "eigenvalues": [complex, ...] supplied externally for the exact path.
-Moduli vectors are {"values": [scalar, ...]}. Rep specs:
+Moduli vectors are {"values": [scalar, ...]}. A witness reports its
+characters "chi1" and "chi2" as scalars, or as {"log": float}, the
+natural log, when either one is past float range. Rep specs:
 
     {"sym": m} | {"ext": k} | {"schur": [parts...]} | {"tensor": [a, b]}
     | {"dsum": [specs...]} | {"compose": {"outer": spec, "inner": spec}}
@@ -28,6 +30,7 @@ from .cmjd import CmjdTriple
 from .errors import ParseError
 from .linalg import ComplexRational
 from .order import (
+    LogValue,
     OrderVerdict,
     SeparatingFunctional,
     SeparatingWitness,
@@ -92,6 +95,8 @@ def parse_complex(obj, exact: bool):
 def scalar_to_json(value):
     if isinstance(value, Fraction):
         return str(value)
+    if isinstance(value, LogValue):
+        return {"log": value.log}
     return float(value)
 
 

@@ -7,11 +7,16 @@ this module evaluates
 
   * rep_moduli      - the full multiset of eigenvalue moduli of pi(g),
   * abs_character   - their sum (equals the character on hyperbolic g),
-  * spectral_radius_rep - their maximum.
+  * spectral_radius_rep - their maximum,
+
+and rep_dim its dimension: one walk over the tree (_walk), read under
+four _Algebras.
 
 The input is a ModuliVector (linalg.matrix_moduli turns a matrix into
 one); nothing here needs a matrix library. Evaluation is exact over
 Fractions when the input moduli are rational.
+Schur weights and kostka_number count Gelfand-Tsetlin patterns, one row
+at a time (_interlacing); Schur values come from Jacobi-Trudi.
 Every float h_m (complete homogeneous) value, its logarithm, the float
 Jacobi-Trudi entries of schur and the degree scan in order come from one
 recurrence, _h_scan: it runs on the moduli divided by the largest, so
@@ -25,17 +30,17 @@ counterpart for rational input.
 from __future__ import annotations
 
 import math
+import operator
 import sys
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from functools import reduce
+from itertools import combinations, combinations_with_replacement, product
 
 from .errors import BadIndex, DimensionCap, LengthMismatch, NonPositive, Overflow
 
 DEFAULT_MODULI_CAP = 10 ** 6
-KOSTKA_WEIGHT_CAP = 12
 _LN2 = math.log(2.0)
 
 
@@ -80,7 +85,7 @@ class ModuliVector:
 
     @property
     def exact(self) -> bool:
-        return all(_is_exact(v) for v in self.values)
+        return all(map(_is_exact, self.values))
 
     def product(self):
         result = Fraction(1) if self.exact else 1.0
@@ -121,14 +126,6 @@ class Partition:
                 raise ValueError("partition parts must be weakly decreasing")
         object.__setattr__(self, "parts",
                            tuple(p for p in self.parts if p > 0))
-
-    @classmethod
-    def of(cls, *parts: int) -> "Partition":
-        return cls(tuple(parts))
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
 
     @property
     def length(self) -> int:
@@ -185,51 +182,18 @@ class Compose(RepSpec):
     inner: RepSpec
 
 
-def rep_dim(spec: RepSpec, n: int) -> int:
-    """Dimension of the representation on an n-dimensional input."""
-    if isinstance(spec, Sym):
-        return math.comb(n + spec.m - 1, spec.m)
-    if isinstance(spec, Ext):
-        if spec.k > n:
-            raise BadIndex(f"exterior power {spec.k} exceeds dimension {n}")
-        return math.comb(n, spec.k)
-    if isinstance(spec, Schur):
-        return _schur_dimension(spec.shape, n)
-    if isinstance(spec, Tensor):
-        return rep_dim(spec.left, n) * rep_dim(spec.right, n)
-    if isinstance(spec, DirectSum):
-        return sum(rep_dim(p, n) for p in spec.parts)
-    if isinstance(spec, Compose):
-        return rep_dim(spec.outer, rep_dim(spec.inner, n))
-    raise TypeError(f"unknown rep spec {spec!r}")
-
-
-def _check_cap(spec: RepSpec, n: int, cap: int | None) -> None:
-    """Raise DimensionCap when the representation is larger than cap."""
-    if cap is not None and (d := rep_dim(spec, n)) > cap:
-        raise DimensionCap(f"representation dimension {d} exceeds cap {cap}")
-
-
 def _schur_dimension(shape: Partition, n: int) -> int:
-    """Number of semistandard tableaux of the shape with entries <= n."""
-    if shape.length > n:
-        return 0
-    # hook content formula: prod (n + j - i) / hook(i, j)
-    num = Fraction(1)
+    """Number of semistandard tableaux of the shape with entries <= n, by
+    the hook-content formula prod (n + j - i) / hook(i, j); a content
+    factor is 0 when the shape has more than n rows."""
     parts = shape.parts
-    conj = _conjugate(parts)
+    columns = [sum(1 for p in parts if p > j) for j in range(parts[0] if parts else 0)]
+    num = den = 1
     for i, row in enumerate(parts):
         for j in range(row):
-            hook = (row - j) + (conj[j] - i) - 1
-            num *= Fraction(n + j - i, hook)
-    assert num.denominator == 1
-    return int(num)
-
-
-def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
-    if not parts:
-        return ()
-    return tuple(sum(1 for p in parts if p > j) for j in range(parts[0]))
+            num *= n + j - i
+            den *= (row - j) + (columns[j] - i) - 1
+    return num // den
 
 
 # --- symmetric-function evaluation -------------------------------------------
@@ -355,9 +319,7 @@ def schur(shape: Partition, x):
     """
     x = _as_moduli(x)
     shape = _as_partition(shape)
-    if shape.length > x.n:
-        raise LengthMismatch(
-            f"partition length {shape.length} exceeds vector length {x.n}")
+    _check_schur(shape, x.n)
     if shape.length == 0:
         return Fraction(1) if x.exact else 1.0
     if x.exact:
@@ -416,15 +378,28 @@ def _det(matrix: list[list]):
     return det
 
 
-# --- Kostka numbers -----------------------------------------------------------
+# --- Gelfand-Tsetlin patterns -------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+def _interlacing(mu: tuple[int, ...], rows: int):
+    """Yield the partitions nu with at most `rows` parts interlacing mu,
+    mu_1 >= nu_1 >= mu_2 >= nu_2 >= ...: the rows that may follow mu in a
+    Gelfand-Tsetlin pattern, i.e. mu / nu is a horizontal strip."""
+    if len(mu) > rows + 1:
+        return
+    below = mu[1:] + (0,)
+    for nu in product(*(range(below[i], mu[i] + 1)
+                        for i in range(min(len(mu), rows)))):
+        yield tuple(p for p in nu if p)
+
+
 def kostka_number(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
     """Number of semistandard tableaux of the shape with the given content.
 
     Content may be any composition; the count only depends on its sorted
-    order. Computed by peeling the last content part as a horizontal strip.
+    order. The largest entry, which appears c = content[-1] times, fills a
+    horizontal strip, so the count is the sum over the nu interlacing the
+    shape with |shape| - |nu| = c of the count for nu and content[:-1].
     """
     shape = tuple(p for p in shape if p > 0)
     content = tuple(c for c in content if c > 0)
@@ -432,74 +407,119 @@ def kostka_number(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
         return 0
     if not shape:
         return 1
-    last = content[-1]
     rest = content[:-1]
-    total = 0
-    for inner in _horizontal_strip_removals(shape, last):
-        total += kostka_number(inner, rest)
-    return total
+    return sum(kostka_number(nu, rest) for nu in _interlacing(shape, len(rest))
+               if sum(nu) == sum(rest))
 
 
-def _horizontal_strip_removals(shape: tuple[int, ...], size: int):
-    """All partitions nu <= shape with shape/nu a horizontal strip of the size."""
-    rows = len(shape)
+def _schur_moduli(shape: Partition, x: ModuliVector) -> list:
+    """The weights of V_shape at x, with multiplicity, by the branching rule:
+    V_mu on x_1..x_j is the sum over nu interlacing mu of x_j^(|mu| - |nu|)
+    times V_nu on x_1..x_{j-1}. Each weight is multiplied out from x_1 on,
+    one power per variable. Costs O(dim * n) products.
+    """
+    _check_schur(shape, x.n)
+    values = x.values
+    memo = {((), 0): [_one(x)]}
 
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-        if i == rows:
-            if remaining == 0:
-                yield tuple(p for p in prefix if p > 0)
-            return
-        below = shape[i + 1] if i + 1 < rows else 0
-        lo = max(below, shape[i] - remaining)
-        hi = shape[i] if i == 0 else min(shape[i], prefix[-1])
-        # interlacing: below <= nu_i <= shape_i, nu weakly decreasing
-        for v in range(hi, lo - 1, -1):
-            yield from rec(i + 1, remaining - (shape[i] - v), prefix + (v,))
+    def weights(mu: tuple[int, ...], j: int) -> list:
+        if (mu, j) not in memo:
+            v, size = values[j - 1], sum(mu)
+            out = memo[mu, j] = []
+            for nu in _interlacing(mu, j - 1):
+                below, c = weights(nu, j - 1), size - sum(nu)
+                if c:  # a zero power leaves the weights as they are
+                    power = v ** c
+                    below = [w * power for w in below]
+                out.extend(below)
+        return memo[mu, j]
 
-    yield from rec(0, size, ())
+    return weights(shape.parts, x.n)
 
 
 # --- representation moduli and characters --------------------------------------
+
+
+class _Algebra(namedtuple("_Algebra", "sym ext schur product add lift")):
+    """One reading of the rep spec tree: a value for each leaf, the value
+    of a Tensor from its factors (product) and of a DirectSum from its
+    parts (add, folded left to right), and the input that a Compose hands
+    its outer spec: lift(inner spec, x, cap)."""
+
+    __slots__ = ()
+
+
+def _walk(spec: RepSpec, x, algebra: _Algebra, cap: int | None):
+    """The value of spec at x under the algebra; cap bounds each lift."""
+    if isinstance(spec, Sym):
+        return algebra.sym(spec.m, x)
+    if isinstance(spec, Ext):
+        return algebra.ext(spec.k, x)
+    if isinstance(spec, Schur):
+        return algebra.schur(spec.shape, x)
+    if isinstance(spec, Tensor):
+        return algebra.product(_walk(spec.left, x, algebra, cap),
+                               _walk(spec.right, x, algebra, cap))
+    if isinstance(spec, DirectSum):
+        return reduce(algebra.add,
+                      (_walk(part, x, algebra, cap) for part in spec.parts))
+    if isinstance(spec, Compose):
+        return _walk(spec.outer, algebra.lift(spec.inner, x, cap), algebra, cap)
+    raise TypeError(f"unknown rep spec {spec!r}")
+
+
+def _check_ext(k: int, n: int) -> int:
+    if k > n:
+        raise BadIndex(f"exterior power {k} exceeds dimension {n}")
+    return k
+
+
+def _check_schur(shape: Partition, n: int) -> Partition:
+    if shape.length > n:
+        raise LengthMismatch(
+            f"partition length {shape.length} exceeds vector length {n}")
+    return shape
+
+
+def _one(x: ModuliVector):
+    return Fraction(1) if x.exact else 1.0
+
+
+def rep_dim(spec: RepSpec, n: int) -> int:
+    """Dimension of the representation on an n-dimensional input."""
+    return _walk(spec, n, _DIMENSION, None)
+
+
+_DIMENSION = _Algebra(
+    sym=lambda m, n: math.comb(n + m - 1, m),
+    ext=lambda k, n: math.comb(n, _check_ext(k, n)),
+    schur=_schur_dimension, product=operator.mul, add=operator.add,
+    lift=lambda inner, n, cap: rep_dim(inner, n))
+
+
+def _check_cap(spec: RepSpec, n: int, cap: int | None) -> None:
+    """Raise DimensionCap when the representation is larger than cap."""
+    if cap is not None and (d := rep_dim(spec, n)) > cap:
+        raise DimensionCap(f"representation dimension {d} exceeds cap {cap}")
 
 
 def rep_moduli(spec: RepSpec, x, cap: int | None = DEFAULT_MODULI_CAP) -> ModuliVector:
     """Multiset of eigenvalue moduli of pi(g) for hyperbolic data x.
 
     Sym(m) gives all degree-m products, Ext(k) all k-subset products,
-    Schur the weight multiset with Kostka multiplicities, Tensor pairwise
-    products, DirectSum concatenation, Compose evaluates outer on the
-    inner moduli. Result sorted non-increasing.
+    Schur the weights of Gelfand-Tsetlin patterns (_schur_moduli), Tensor
+    pairwise products, DirectSum concatenation, Compose evaluates outer
+    on the inner moduli. Only cap bounds the size. Result sorted
+    non-increasing.
     """
     x = _as_moduli(x)
     _check_cap(spec, x.n, cap)
-    values = _rep_moduli_values(spec, x, cap)
-    return ModuliVector.from_values(values)
+    return ModuliVector.from_values(_walk(spec, x, _MODULI, cap))
 
 
-def _rep_moduli_values(spec: RepSpec, x: ModuliVector, cap: int | None) -> list:
-    one = Fraction(1) if x.exact else 1.0
-    if isinstance(spec, Sym):
-        return [_product(combo, one)
-                for combo in combinations_with_replacement(x.values, spec.m)]
-    if isinstance(spec, Ext):
-        if spec.k > x.n:
-            raise BadIndex(f"exterior power {spec.k} exceeds dimension {x.n}")
-        return [_product(combo, one) for combo in combinations(x.values, spec.k)]
-    if isinstance(spec, Schur):
-        return _schur_moduli(spec.shape, x)
-    if isinstance(spec, Tensor):
-        left = _rep_moduli_values(spec.left, x, cap)
-        right = _rep_moduli_values(spec.right, x, cap)
-        return [a * b for a in left for b in right]
-    if isinstance(spec, DirectSum):
-        out: list = []
-        for part in spec.parts:
-            out.extend(_rep_moduli_values(part, x, cap))
-        return out
-    if isinstance(spec, Compose):
-        inner = rep_moduli(spec.inner, x, cap)
-        return _rep_moduli_values(spec.outer, inner, cap)
-    raise TypeError(f"unknown rep spec {spec!r}")
+def _products(combos, x: ModuliVector) -> list:
+    one = _one(x)
+    return [_product(combo, one) for combo in combos]
 
 
 def _product(values, one):
@@ -509,34 +529,12 @@ def _product(values, one):
     return result
 
 
-def _schur_moduli(shape: Partition, x: ModuliVector) -> list:
-    if shape.length > x.n:
-        raise LengthMismatch(
-            f"partition length {shape.length} exceeds vector length {x.n}")
-    if shape.weight > KOSTKA_WEIGHT_CAP:
-        raise DimensionCap(
-            f"Schur moduli computed only for |shape| <= {KOSTKA_WEIGHT_CAP}")
-    one = Fraction(1) if x.exact else 1.0
-    out: list = []
-    for content in _compositions(shape.weight, x.n):
-        mult = kostka_number(shape.parts, tuple(sorted(content, reverse=True)))
-        if mult == 0:
-            continue
-        value = one
-        for v, c in zip(x.values, content):
-            value = value * v ** c
-        out.extend([value] * mult)
-    return out
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+_MODULI = _Algebra(
+    sym=lambda m, x: _products(combinations_with_replacement(x.values, m), x),
+    ext=lambda k, x: _products(combinations(x.values, _check_ext(k, x.n)), x),
+    schur=_schur_moduli,
+    product=lambda left, right: [a * b for a in left for b in right],
+    add=operator.add, lift=rep_moduli)
 
 
 def abs_character(spec: RepSpec, x, cap: int | None = DEFAULT_MODULI_CAP):
@@ -548,61 +546,28 @@ def abs_character(spec: RepSpec, x, cap: int | None = DEFAULT_MODULI_CAP):
     """
     x = _as_moduli(x)
     _check_cap(spec, x.n, cap)
-    return _abs_character(spec, x, cap)
+    return _walk(spec, x, _CHARACTER, cap)
 
 
-def _abs_character(spec: RepSpec, x: ModuliVector, cap: int | None):
-    if isinstance(spec, Sym):
-        return complete_homogeneous(spec.m, x)
-    if isinstance(spec, Ext):
-        return elementary(spec.k, x)
-    if isinstance(spec, Schur):
-        return schur(spec.shape, x)
-    if isinstance(spec, Tensor):
-        return _abs_character(spec.left, x, cap) * _abs_character(spec.right, x, cap)
-    if isinstance(spec, DirectSum):
-        total = _abs_character(spec.parts[0], x, cap)
-        for part in spec.parts[1:]:
-            total = total + _abs_character(part, x, cap)
-        return total
-    if isinstance(spec, Compose):
-        inner = rep_moduli(spec.inner, x, cap)
-        return _abs_character(spec.outer, inner, cap)
-    raise TypeError(f"unknown rep spec {spec!r}")
+_CHARACTER = _Algebra(
+    sym=complete_homogeneous, ext=elementary, schur=schur,
+    product=operator.mul, add=operator.add, lift=rep_moduli)
 
 
 def spectral_radius_rep(spec: RepSpec, x, cap: int | None = DEFAULT_MODULI_CAP):
     """Largest eigenvalue modulus of pi(g) for hyperbolic data x."""
     x = _as_moduli(x)
     _check_cap(spec, x.n, cap)
-    return _spectral_radius(spec, x, cap)
+    return _walk(spec, x, _RADIUS, cap)
 
 
-def _spectral_radius(spec: RepSpec, x: ModuliVector, cap: int | None):
-    one = Fraction(1) if x.exact else 1.0
-    if isinstance(spec, Sym):
-        return x.values[0] ** spec.m if spec.m > 0 else one
-    if isinstance(spec, Ext):
-        if spec.k > x.n:
-            raise BadIndex(f"exterior power {spec.k} exceeds dimension {x.n}")
-        return _product(x.values[:spec.k], one)
-    if isinstance(spec, Schur):
-        if spec.shape.length > x.n:
-            raise LengthMismatch(
-                f"partition length {spec.shape.length} exceeds vector length {x.n}")
-        # dominant weight: largest moduli get the largest exponents
-        result = one
-        for v, p in zip(x.values, spec.shape.parts):
-            result = result * v ** p
-        return result
-    if isinstance(spec, Tensor):
-        return _spectral_radius(spec.left, x, cap) * _spectral_radius(spec.right, x, cap)
-    if isinstance(spec, DirectSum):
-        return max(_spectral_radius(part, x, cap) for part in spec.parts)
-    if isinstance(spec, Compose):
-        inner = rep_moduli(spec.inner, x, cap)
-        return _spectral_radius(spec.outer, inner, cap)
-    raise TypeError(f"unknown rep spec {spec!r}")
+_RADIUS = _Algebra(
+    sym=lambda m, x: x.values[0] ** m if m > 0 else _one(x),
+    ext=lambda k, x: _product(x.values[:_check_ext(k, x.n)], _one(x)),
+    # the dominant weight: the largest moduli get the largest exponents
+    schur=lambda shape, x: _product(
+        (v ** p for v, p in zip(x.values, _check_schur(shape, x.n).parts)), _one(x)),
+    product=operator.mul, add=max, lift=rep_moduli)
 
 
 def _as_moduli(x) -> ModuliVector:

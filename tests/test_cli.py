@@ -1,6 +1,7 @@
 """Command-line flags: each subcommand takes only the options it reads."""
 
 import json
+import math
 
 import pytest
 
@@ -88,3 +89,44 @@ def test_rational_string_entries(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["relation"] == "EQUAL"
     assert report["moduli_1"] == ["2", "1/2"]
+
+
+def run_json(argv, capsys):
+    code = main(argv)
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_char_on_schur_weight_above_twelve(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(
+        {"compose": {"outer": {"sym": 1}, "inner": {"schur": [7, 6]}}}))
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps({"values": [3.0, 2.0, 1.0, 0.5, 1 / 3]}))
+    code, report = run_json(["char", "--spec", str(spec), "--x", str(x)], capsys)
+    assert code == 0
+    assert report["dimension"] == 6930
+
+
+@pytest.mark.parametrize("spec, error, message", [
+    ({"ext": 4}, "BadIndex", "exterior power 4 exceeds dimension 3"),
+    ({"compose": {"outer": {"schur": [1, 1, 1, 1]}, "inner": {"sym": 1}}},
+     "LengthMismatch", "partition length 4 exceeds vector length 3"),
+])
+def test_char_index_errors(spec, error, message, inputs, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    code, report = run_json(["char", "--spec", str(path), "--x", inputs["x"]], capsys)
+    assert code == 2
+    assert (report["error"], report["message"]) == (error, message)
+
+
+def test_witness_past_float_range(tmp_path, capsys):
+    # separated at k=1, m=235, where h_235 is past float range
+    for name, logs in (("x", (3.5, 3.4, -6.9)), ("y", (3.51, -1.75, -1.76))):
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps({"values": [math.exp(v) for v in logs]}))
+    code, report = run_json(["witness", "--h1", str(tmp_path / "x.json"),
+                             "--h2", str(tmp_path / "y.json")], capsys)
+    assert code == 0
+    assert (report["k"], report["m"], report["dimension"]) == (1, 235, 27966)
+    assert 709 < report["chi1"]["log"] < report["chi2"]["log"]

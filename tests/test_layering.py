@@ -1,6 +1,7 @@
 """The moduli layers are plain arithmetic: symchar and order import no
-matrix code. Checked on the source, since importing kostant loads cmjd
-(and with it numpy and scipy) anyway."""
+matrix code, and symchar reads a rep spec tree in one walk. Checked on the
+source, since importing kostant loads cmjd (and with it numpy and scipy)
+anyway."""
 
 import ast
 from pathlib import Path
@@ -49,3 +50,10 @@ def test_checker_sees_each_import_form(tmp_path):
                       "from .symchar import Sym\n")
     flagged = [is_forbidden(name) for name in imported_modules(source)]
     assert flagged == [True, True, True, True, False, True]
+
+
+def test_one_walk_over_the_spec_tree():
+    # every reading of a RepSpec goes through symchar._walk
+    raises = [node for node in ast.walk(ast.parse((PACKAGE / "symchar.py").read_text()))
+              if isinstance(node, ast.Raise) and "unknown rep spec" in ast.unparse(node)]
+    assert len(raises) == 1

@@ -20,6 +20,7 @@ from kostant import (
     Compose,
     Ext,
     LengthMismatch,
+    LogValue,
     ModuliVector,
     NotSeparable,
     OrderHolds,
@@ -32,6 +33,7 @@ from kostant import (
     apply_t_transforms,
     check_topk,
     complete_homogeneous,
+    complete_homogeneous_log,
     find_separating_character,
     kostant_compare,
     majorize_additive,
@@ -358,6 +360,17 @@ class TestFindSeparatingCharacter:
         assert w.k == 1
         assert w.spec == Compose(Sym(w.m), Ext(1))
         assert w.chi_1 < w.chi_2
+
+    def test_characters_past_float_range(self):
+        # separated at k=1, m=235; h_235 of either side overflows a float
+        x = [math.exp(v) for v in (3.5, 3.4, -6.9)]
+        y = [math.exp(v) for v in (3.51, -1.75, -1.76)]
+        w = find_separating_character(x, y)
+        assert (w.k, w.m, w.dimension) == (1, 235, 27966)
+        assert isinstance(w.chi_1, LogValue) and isinstance(w.chi_2, LogValue)
+        assert w.chi_1 < w.chi_2
+        assert math.isclose(w.chi_1.log, complete_homogeneous_log(235, x))
+        assert math.isclose(w.chi_2.log, complete_homogeneous_log(235, y))
 
     def test_dominating_pair_raises(self):
         with pytest.raises(OrderHolds):

@@ -2,11 +2,13 @@
 
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kostant import (
@@ -40,6 +42,7 @@ from kostant.symchar import _det, _h_exact, _last
 from conftest import (
     brute_force_h,
     brute_force_schur,
+    enumerate_ssyt,
     monomial_count,
     random_sl,
     random_sl_moduli,
@@ -243,8 +246,17 @@ class TestKostka:
         assert kostka_number((2, 2), (2, 1, 1)) == 1
         assert kostka_number((2, 2), (1, 1, 1, 1)) == 2
 
+    def test_matches_tableau_content_counts(self):
+        for shape in [(2, 1), (3, 2), (2, 2, 1), (3, 1, 1), (4, 2)]:
+            n = 4
+            counts = Counter(tuple(Counter(v for row in t for v in row)[i]
+                                   for i in range(1, n + 1))
+                             for t in enumerate_ssyt(shape, n))
+            for content in product(range(sum(shape) + 1), repeat=n):
+                if sum(content) == sum(shape):
+                    assert kostka_number(shape, content) == counts[content]
+
     def test_dimension_agrees_with_tableau_count(self):
-        from conftest import enumerate_ssyt
         for shape in [(2, 1), (3, 2), (2, 2, 1)]:
             for n in (3, 4):
                 assert rep_dim(Schur(Partition(shape)), n) == sum(
@@ -273,6 +285,35 @@ class TestRepModuli:
             moduli = rep_moduli(Schur(Partition(shape)), x)
             assert sum(moduli.values) == schur(shape, x)
             assert moduli.n == rep_dim(Schur(Partition(shape)), 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6),
+           parts=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+           x=st.lists(st.fractions(min_value=F(1, 5), max_value=9, max_denominator=5),
+                      min_size=6, max_size=6))
+    @example(n=2, parts=[2, 1], x=[F(2), F(1)] * 3)
+    @example(n=4, parts=[3, 2, 2, 1], x=[F(3), F(1, 2), F(5, 3), F(1), F(2), F(1)])
+    def test_schur_weights_are_tableau_weights(self, n, parts, x):
+        shape = sorted(parts, reverse=True)[:n]
+        while sum(shape) > 12:
+            shape.pop()
+        x = x[:n]
+        moduli = rep_moduli(Schur(Partition(tuple(shape))), x, cap=None)
+        x.sort(reverse=True)
+        contents = Counter(tuple(sorted(v for row in t for v in row))
+                           for t in enumerate_ssyt(tuple(shape), n))
+        expected = [math.prod((x[v - 1] for v in content), start=F(1))
+                    for content, count in contents.items() for _ in range(count)]
+        assert moduli.n == len(expected)
+        assert moduli.values == tuple(sorted(expected, reverse=True))
+
+    def test_schur_weight_above_twelve(self, rng):
+        # no weight cap: only the moduli cap bounds the size
+        x = ModuliVector.from_values(
+            [F(int(rng.integers(1, 7)), int(rng.integers(1, 4))) for _ in range(5)])
+        moduli = rep_moduli(Schur(Partition((7, 6))), x)
+        assert moduli.n == 6930 == rep_dim(Schur(Partition((7, 6))), 5)
+        assert sum(moduli.values) == schur((7, 6), x)
 
     def test_compose_chains_evaluation(self):
         spec = Compose(Sym(2), Ext(2))
@@ -343,7 +384,8 @@ class TestSpectralRadiusRep:
     def test_matches_max_of_moduli(self, rng):
         x = random_sl_moduli(rng, 4)
         for spec in [Sym(3), Ext(2), Schur(Partition((3, 1))),
-                     Compose(Sym(2), Ext(3))]:
+                     Compose(Sym(2), Ext(3)), DirectSum((Sym(2), Ext(1))),
+                     Tensor(Schur(Partition((2, 1))), Ext(3))]:
             assert math.isclose(spectral_radius_rep(spec, x),
                                 max(rep_moduli(spec, x).as_floats()),
                                 rel_tol=1e-12)
