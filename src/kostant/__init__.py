@@ -6,16 +6,16 @@ generated by log-majorization of eigenvalue moduli on SL_n(C), and, when
 the order fails, constructs a representation whose character strictly
 separates the two elements, together with machine-checkable certificates
 for both outcomes.
+
+Importing the package loads the moduli layers (symchar, order) only: the
+matrix exports of cmjd and linalg, and numpy and scipy with them, load on
+first use.
 """
 
-from .cmjd import (
-    CmjdReport,
-    CmjdTriple,
-    cmjd,
-    hyperbolic_log,
-    unipotent_log,
-    validate_cmjd,
-)
+import sys
+from importlib import import_module
+from types import ModuleType
+
 from .errors import (
     BadIndex,
     DimensionCap,
@@ -33,16 +33,6 @@ from .errors import (
     PreconditionFailed,
     Singular,
     SumMismatch,
-)
-from .linalg import (
-    ComplexRational,
-    SpectralDecomposition,
-    Spectrum,
-    eigen_spectrum,
-    mat_norm,
-    matrix_moduli,
-    moduli_from_eigenvalues,
-    spectral_projectors,
 )
 from .order import (
     EQUAL,
@@ -89,3 +79,41 @@ from .symchar import (
 )
 
 __version__ = "0.1.0"
+
+# Served on first use, so that importing the package or its moduli layers
+# (order, symchar, serialize, cli) loads neither numpy nor scipy.
+_LAZY = {
+    **dict.fromkeys(("CmjdReport", "CmjdTriple", "cmjd", "hyperbolic_log",
+                     "unipotent_log", "validate_cmjd"), "cmjd"),
+    **dict.fromkeys(("ComplexRational", "SpectralDecomposition", "Spectrum",
+                     "eigen_spectrum", "mat_norm", "matrix_moduli",
+                     "moduli_from_eigenvalues", "spectral_projectors"), "linalg"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_LAZY[name]}", __name__)
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
+
+class _Package(ModuleType):
+    """The package keeps its exports over submodules of the same name.
+
+    The import system binds a submodule on its package when it first
+    loads it; the submodule kostant.cmjd would so replace the exported
+    function kostant.cmjd, whatever the order of imports.
+    """
+
+    def __setattr__(self, name, value):
+        if not (name in _LAZY and isinstance(value, ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -6,6 +6,10 @@ Inputs are JSON files (matrix or moduli payloads, auto-detected by their
 --out. Exit codes: 0 success, 1 mathematical negative (order fails /
 order holds when a witness was requested / not a hull member), 2 input
 error, 3 numerical failure.
+
+The matrix layers (cmjd, linalg, and numpy and scipy with them) and the
+self-check suites are imported by the handlers that use them, so a
+subcommand on moduli input starts without them.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import sys
 from dataclasses import dataclass, field
 
 from . import serialize
-from .cmjd import cmjd
 from .errors import (
     BadIndex,
     DimensionCap,
@@ -36,7 +39,6 @@ from .errors import (
     Singular,
     SumMismatch,
 )
-from .linalg import matrix_moduli, moduli_from_eigenvalues
 from .order import (
     EQUAL,
     GEQ,
@@ -45,7 +47,6 @@ from .order import (
     kostant_compare,
     permutohedron_certificate,
 )
-from .selfcheck import run_suites
 from .symchar import ModuliVector, abs_character, rep_dim, spectral_radius_rep
 
 INPUT_ERRORS = (ParseError, LengthMismatch, NonPositive, BadIndex,
@@ -87,6 +88,8 @@ def _load_moduli(path: str, config: JobConfig) -> ModuliVector:
     obj = _load_json(path)
     if isinstance(obj, dict) and "values" in obj:
         return serialize.parse_moduli(obj, exact=config.exact)
+    from .linalg import matrix_moduli, moduli_from_eigenvalues
+
     payload = serialize.parse_matrix(obj, exact=config.exact)
     if config.exact and payload.eigenvalues is not None:
         return moduli_from_eigenvalues(payload.eigenvalues)
@@ -117,6 +120,8 @@ def _error_report(config: JobConfig, exc: Exception) -> dict:
 
 
 def _run_decompose(config: JobConfig) -> tuple[int, dict]:
+    from .cmjd import cmjd
+
     payload = serialize.parse_matrix(_load_json(config.inputs["g"]))
     triple = cmjd(payload.matrix, tol=config.tol)
     report = {"command": "decompose", "tol": config.tol}
@@ -174,6 +179,8 @@ def _run_certify(config: JobConfig) -> tuple[int, dict]:
 
 
 def _run_selfcheck(config: JobConfig) -> tuple[int, dict]:
+    from .selfcheck import run_suites
+
     results = run_suites(names=config.suites,
                          inject_fault=config.inject_fault)
     report = {

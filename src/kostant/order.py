@@ -432,9 +432,10 @@ def separating_sym_power(c_vec, d_vec, *,
     h_m(c_vec) > h_m(d_vec); m_paper is the least m with
     (c/d)^m > (m+n)^n (above PAPER_EXACT_LIMIT: the least m that floats
     prove), which guarantees the separation through the chain
-    c^m > (m+n)^n d^m > binom(m+n-1, n-1) d^m >= h_m(d_vec). Both are
-    verified by evaluation (m_paper only up to PAPER_EXACT_LIMIT, beyond
-    which the scan inequality itself is the certificate). m_limit bounds
+    h_m(c_vec) >= c^m > binom(m+n-1, n-1) d^m >= h_m(d_vec). m_min is
+    verified by evaluation. The middle link of the chain is checked at
+    m_paper in logs, in O(1); inside the rounding band the separation at
+    m_paper is evaluated instead (up to PAPER_EXACT_LIMIT). m_limit bounds
     the m_min scan; NotSeparable is raised if no separation is found
     within it (thin radius gaps may genuinely need a huge degree).
     """
@@ -446,19 +447,50 @@ def separating_sym_power(c_vec, d_vec, *,
     if _cmp(c, d) <= 0:
         raise NotSeparable(f"spectral radii do not separate: c = {c}, d = {d}")
 
-    m_paper = _least_paper_degree(c, d, n)
+    log_ratio = _LogRatio.of(c, d)
+    m_paper = _least_paper_degree(c, d, n, log_ratio)
     scan_to = m_paper if m_limit is None else min(m_paper, m_limit)
     m_min = _least_separating_degree(cv, dv, scan_to)
     if m_min is None:
         raise NotSeparable(
             f"no separating symmetric power up to degree {scan_to} "
             f"(guaranteed bound is {m_paper})")
-    if m_paper <= PAPER_EXACT_LIMIT:
-        assert _h_cmp(m_paper, cv, dv) > 0
+    chain = log_ratio.sign(m_paper, math.log(math.comb(m_paper + n - 1, n - 1)))
+    if chain < 0 or (chain == 0 and m_paper <= PAPER_EXACT_LIMIT
+                     and _h_cmp(m_paper, cv, dv) <= 0):
+        raise AssertionError("the paper degree failed to separate")
     return m_min, m_paper
 
 
-def _least_paper_degree(c, d, n: int) -> int:
+@dataclass(frozen=True)
+class _LogRatio:
+    """log(c/d) for c > d > 0 from the exact ratio, with the magnitude of
+    the logs it was formed from, which bounds its rounding error."""
+
+    ratio: Fraction
+    log: float
+    magnitude: float
+
+    @classmethod
+    def of(cls, c, d) -> "_LogRatio":
+        ratio = Fraction(c) / Fraction(d)
+        if ratio < 2:
+            log_ratio = math.log1p(float(ratio - 1))
+            return cls(ratio, log_ratio, log_ratio)
+        # the ratio may not fit a float; take logs of the integers
+        log_num, log_den = math.log(ratio.numerator), math.log(ratio.denominator)
+        return cls(ratio, log_num - log_den, abs(log_num) + abs(log_den))
+
+    def sign(self, m: int, log_bound: float) -> int:
+        """Sign of m*log(c/d) - log_bound when floats prove it, else 0;
+        log_bound is a log computed to a few ulps."""
+        gap = m * self.log - log_bound
+        if abs(gap) > PAPER_BAND_EPS * (m * self.magnitude + log_bound):
+            return 1 if gap > 0 else -1
+        return 0
+
+
+def _least_paper_degree(c, d, n: int, log_ratio: _LogRatio | None = None) -> int:
     """Least m >= 1 with (c/d)^m > (m+n)^n, for c > d > 0.
 
     The log-gap m*log(c/d) - n*log(m+n), with log(c/d) = log1p((c-d)/d)
@@ -467,18 +499,13 @@ def _least_paper_degree(c, d, n: int) -> int:
     rounding band; inside it exact integers do, up to PAPER_EXACT_LIMIT,
     above which an in-band m counts as unproven.
     """
-    ratio = Fraction(c) / Fraction(d)
-    if ratio < 2:
-        log_ratio = magnitude = math.log1p(float(ratio - 1))
-    else:  # the ratio may not fit a float; take logs of the integers
-        log_num, log_den = math.log(ratio.numerator), math.log(ratio.denominator)
-        log_ratio, magnitude = log_num - log_den, abs(log_num) + abs(log_den)
+    log_ratio = log_ratio or _LogRatio.of(c, d)
+    ratio = log_ratio.ratio
 
     def proven(m: int) -> bool:
-        log_bound = n * math.log(m + n)
-        gap = m * log_ratio - log_bound
-        if abs(gap) > PAPER_BAND_EPS * (m * magnitude + log_bound):
-            return gap > 0
+        sign = log_ratio.sign(m, n * math.log(m + n))
+        if sign:
+            return sign > 0
         return m <= PAPER_EXACT_LIMIT and \
             ratio.numerator ** m > (m + n) ** n * ratio.denominator ** m
 

@@ -8,27 +8,29 @@ a real entry: 2, "1/2" and {"re": "1/2"} are all accepted. Matrices are
 "eigenvalues": [complex, ...] supplied externally for the exact path.
 Moduli vectors are {"values": [scalar, ...]}. A witness reports its
 characters "chi1" and "chi2" as scalars, or as {"log": float}, the
-natural log, when either one is past float range. Rep specs:
+natural log, when either one is past float range. A positive rational
+with more digits than Python converts to a string (sys.int_max_str_digits)
+is written as {"log": float} too. Rep specs:
 
     {"sym": m} | {"ext": k} | {"schur": [parts...]} | {"tensor": [a, b]}
     | {"dsum": [specs...]} | {"compose": {"outer": spec, "inner": spec}}
 
 Serialization keeps a fixed field order and shortest round-trip float
 formatting (Python's repr), so identical inputs produce byte-identical
-reports.
+reports. numpy and the matrix layers (cmjd, linalg) are imported by the
+matrix and exact-complex functions that use them, so moduli payloads
+and reports need neither.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .cmjd import CmjdTriple
 from .errors import ParseError
-from .linalg import ComplexRational
 from .order import (
     LogValue,
     OrderVerdict,
@@ -47,6 +49,11 @@ from .symchar import (
     Sym,
     Tensor,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .cmjd import CmjdTriple
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,8 @@ def parse_complex(obj, exact: bool):
     re = parse_scalar(obj.get("re", 0), exact)
     im = parse_scalar(obj.get("im", 0), exact)
     if exact:
+        from .linalg import ComplexRational
+
         if not isinstance(re, Fraction) or not isinstance(im, Fraction):
             # floats are exact binary rationals; accept them
             re, im = Fraction(re), Fraction(im)
@@ -94,13 +103,18 @@ def parse_complex(obj, exact: bool):
 
 def scalar_to_json(value):
     if isinstance(value, Fraction):
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:  # more digits than Python prints for an int
+            return {"log": math.log(value.numerator) - math.log(value.denominator)}
     if isinstance(value, LogValue):
         return {"log": value.log}
     return float(value)
 
 
 def complex_to_json(z) -> dict:
+    from .linalg import ComplexRational
+
     if isinstance(z, ComplexRational):
         return {"re": str(z.re), "im": str(z.im)}
     z = complex(z)
@@ -111,6 +125,8 @@ def complex_to_json(z) -> dict:
 
 
 def parse_matrix(obj, exact: bool = False) -> MatrixInput:
+    import numpy as np
+
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ParseError("matrix JSON must be an object with an 'entries' field")
     entries = obj["entries"]
@@ -133,6 +149,8 @@ def parse_matrix(obj, exact: bool = False) -> MatrixInput:
 
 
 def matrix_to_json(m) -> dict:
+    import numpy as np
+
     m = np.asarray(m)
     n = m.shape[0]
     return {

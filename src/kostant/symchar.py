@@ -550,7 +550,8 @@ def abs_character(spec: RepSpec, x, cap: int | None = DEFAULT_MODULI_CAP):
 
 
 _CHARACTER = _Algebra(
-    sym=complete_homogeneous, ext=elementary, schur=schur,
+    sym=complete_homogeneous,
+    ext=lambda k, x: elementary(_check_ext(k, x.n), x), schur=schur,
     product=operator.mul, add=operator.add, lift=rep_moduli)
 
 

@@ -1,10 +1,19 @@
-"""Command-line flags: each subcommand takes only the options it reads."""
+"""Command-line flags: each subcommand takes only the options it reads;
+subcommands on moduli input start without the matrix layers."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from types import ModuleType
 
 import pytest
 
+import kostant
+from kostant import complete_homogeneous
 from kostant.cli import main
 
 
@@ -130,3 +139,115 @@ def test_witness_past_float_range(tmp_path, capsys):
     assert code == 0
     assert (report["k"], report["m"], report["dimension"]) == (1, 235, 27966)
     assert 709 < report["chi1"]["log"] < report["chi2"]["log"]
+
+
+def test_exact_witness_past_the_digit_limit(tmp_path, capsys):
+    # chi2 has about 5,100 digits, more than Python converts to a string
+    x, y = ["2", "2", "1/4"], ["1007/500", "1000/1007", "1/2"]
+    for name, values in (("x", x), ("y", y)):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"values": values}))
+    code, report = run_json(["witness", "--exact", "--h1", str(tmp_path / "x.json"),
+                             "--h2", str(tmp_path / "y.json")], capsys)
+    assert code == 0
+    assert report["spec"] == {"compose": {"outer": {"sym": 848}, "inner": {"ext": 1}}}
+    assert report["dimension"] == math.comb(850, 2)
+    assert report["m"] <= report["paper_bound_m"]
+    h_x, h_y = (complete_homogeneous(848, [Fraction(v) for v in values])
+                for values in (x, y))
+    assert h_y > h_x
+    assert report["chi1"] == str(h_x)
+    with localcontext() as ctx:
+        ctx.prec = 30
+        log_h_y = float(Decimal(h_y.numerator).ln() - Decimal(h_y.denominator).ln())
+    assert math.isclose(report["chi2"]["log"], log_h_y, rel_tol=1e-12)
+
+
+# --- imports ---------------------------------------------------------------------
+
+MATRIX_MODULES = ("numpy", "scipy", "kostant.cmjd", "kostant.linalg",
+                  "kostant.selfcheck")
+EXPORTS = """
+    BadIndex CmjdReport CmjdTriple ComplexRational Compose DimensionCap
+    DirectSum EQUAL Ext GEQ INCOMPARABLE IllConditioned KostantError LEQ
+    LengthMismatch LogValue LogVector ModuliVector NonConvergence NonPositive
+    NotHyperbolic NotSeparable NotUnipotent OrderHolds OrderVerdict Overflow
+    ParseError Partition PreconditionFailed RepSpec Schur SeparatingFunctional
+    SeparatingWitness Singular SpectralDecomposition Spectrum SumMismatch Sym
+    TTransformCertificate Tensor TopKReport abs_character apply_t_transforms
+    check_topk cmjd complete_homogeneous complete_homogeneous_log
+    eigen_spectrum elementary find_separating_character hyperbolic_log
+    kostant_compare kostka_number majorize_additive majorize_multiplicative
+    mat_norm matrix_moduli moduli_from_eigenvalues permutohedron_certificate
+    rep_dim rep_moduli schur separating_sym_power spectral_projectors
+    spectral_radius_rep unipotent_log validate_cmjd verify_certificate
+    verify_functional
+""".split()
+
+
+def fresh(code: str) -> str:
+    """Standard output of code run in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kostant.__file__)))
+    return subprocess.run([sys.executable, "-c", code], timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True).stdout
+
+
+def main_in_fresh_interpreter(argvs):
+    """Exit code and report of main on each argv, run in turn in one new
+    interpreter, and the matrix modules loaded after them."""
+    codes, reports, modules = json.loads(fresh(
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from kostant.cli import main\n"
+        "codes, reports = [], []\n"
+        f"for argv in {argvs!r}:\n"
+        "    with redirect_stdout(io.StringIO()) as out:\n"
+        "        codes.append(main(argv))\n"
+        "    reports.append(out.getvalue())\n"
+        "print(json.dumps([codes, reports, sorted(sys.modules)]))\n"))
+    loaded = [m for m in modules
+              if any(m == f or m.startswith(f + ".") for f in MATRIX_MODULES)]
+    return list(zip(codes, reports)), loaded
+
+
+def test_moduli_subcommands_load_no_matrix_code(inputs, capsys):
+    argvs = [commands(inputs)[c] for c in ("order", "certify", "char", "witness")]
+    argvs.append(commands(inputs)["order"] + ["--exact"])
+    results, loaded = main_in_fresh_interpreter(argvs)
+    assert loaded == []
+    for argv, result in zip(argvs, results):
+        assert result == (main(argv), capsys.readouterr().out)
+    assert [code for code, _ in results] == [0, 0, 0, 0, 0]
+
+
+def test_matrix_subcommands_in_a_fresh_interpreter(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"entries": [[2, 1], [0, "1/2"]],
+                                "eigenvalues": [2, "1/2"]}))
+    g = str(path)
+    argvs = [["decompose", "--g", g], ["order", "--g1", g, "--g2", g],
+             ["order", "--exact", "--g1", g, "--g2", g]]
+    results, loaded = main_in_fresh_interpreter(argvs)
+    assert {"numpy", "scipy", "kostant.cmjd", "kostant.linalg"} <= set(loaded)
+    for argv, result in zip(argvs, results):
+        assert result == (main(argv), capsys.readouterr().out)
+    assert [code for code, _ in results] == [0, 0, 0]
+
+
+def test_every_export_resolves():
+    for name in EXPORTS:
+        assert not isinstance(getattr(kostant, name), ModuleType), name
+    assert set(EXPORTS) <= set(dir(kostant))
+    with pytest.raises(AttributeError):
+        kostant.no_such_name
+
+
+@pytest.mark.parametrize("first", ["import kostant.cmjd", "import kostant.selfcheck",
+                                   "from kostant.cmjd import validate_cmjd"])
+def test_cmjd_is_the_function_after_its_module_loads(first):
+    # the submodule kostant.cmjd shares the exported function's name
+    out = fresh(f"{first}\n"
+                "from kostant import cmjd\n"
+                "import kostant.cmjd as again\n"
+                "print(cmjd.__module__, cmjd.__name__, again is cmjd)\n")
+    assert out.split() == ["kostant.cmjd", "cmjd", "True"]

@@ -1,9 +1,15 @@
 """The moduli layers are plain arithmetic: symchar and order import no
-matrix code, and symchar reads a rep spec tree in one walk. Checked on the
-source, since importing kostant loads cmjd (and with it numpy and scipy)
-anyway."""
+matrix code, and symchar reads a rep spec tree in one walk. The package,
+the CLI and serialize import matrix code only inside the functions that
+use it, so importing them loads neither numpy nor scipy. Checked on the
+source with ast, and for the moduli layers also on sys.modules in a fresh
+interpreter."""
 
 import ast
+import os
+import subprocess
+import sys
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -11,13 +17,24 @@ import pytest
 import kostant
 
 PACKAGE = Path(kostant.__file__).parent
-FORBIDDEN = ("numpy", "scipy", "kostant.linalg")
+FORBIDDEN = ("numpy", "scipy", "kostant.cmjd", "kostant.linalg", "kostant.selfcheck")
 
 
-def imported_modules(path: Path) -> list[str]:
-    """Absolute names of every module the file imports, at any depth."""
+def imported_modules(path: Path, eager: bool = False) -> list[str]:
+    """Absolute names of every module the file imports, at any depth; with
+    eager=True only those that importing the file runs, outside function
+    bodies and `if TYPE_CHECKING:` blocks. In ast.walk order."""
     names = []
-    for node in ast.walk(ast.parse(path.read_text())):
+    todo = deque([ast.parse(path.read_text())])
+    while todo:
+        node = todo.popleft()
+        if eager and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if (eager and isinstance(node, ast.If)
+                and ast.unparse(node.test) == "TYPE_CHECKING"):
+            todo.extend(node.orelse)
+            continue
+        todo.extend(ast.iter_child_nodes(node))
         if isinstance(node, ast.Import):
             names.extend(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -39,6 +56,23 @@ def test_moduli_layers_import_no_matrix_code(module):
     assert bad == []
 
 
+@pytest.mark.parametrize("module", ["__init__.py", "cli.py", "serialize.py"])
+def test_front_modules_import_matrix_code_in_functions_only(module):
+    bad = [name for name in imported_modules(PACKAGE / module, eager=True)
+           if is_forbidden(name)]
+    assert bad == []
+
+
+@pytest.mark.parametrize("module", ["kostant.order", "kostant.serialize"])
+def test_import_loads_no_matrix_code(module):
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys, {module}; print(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60,
+        capture_output=True, text=True, check=True).stdout
+    assert module in out.split()
+    assert [name for name in out.split() if is_forbidden(name)] == []
+
+
 def test_checker_sees_each_import_form(tmp_path):
     source = tmp_path / "probe.py"
     source.write_text("import numpy as np\n"
@@ -50,6 +84,24 @@ def test_checker_sees_each_import_form(tmp_path):
                       "from .symchar import Sym\n")
     flagged = [is_forbidden(name) for name in imported_modules(source)]
     assert flagged == [True, True, True, True, False, True]
+
+
+def test_eager_imports_skip_functions_and_type_checking(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text("from typing import TYPE_CHECKING\n"
+                      "if TYPE_CHECKING:\n"
+                      "    import numpy as np\n"
+                      "else:\n"
+                      "    from .cmjd import cmjd\n"
+                      "class C:\n"
+                      "    def f(self):\n"
+                      "        from .linalg import mat_norm\n"
+                      "def g():\n"
+                      "    import scipy\n"
+                      "if True:\n"
+                      "    from .selfcheck import run_suites\n")
+    assert imported_modules(source, eager=True) == [
+        "typing", "kostant.cmjd", "kostant.selfcheck"]
 
 
 def test_one_walk_over_the_spec_tree():

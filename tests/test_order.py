@@ -45,6 +45,7 @@ from kostant import (
     verify_certificate,
     verify_functional,
 )
+from kostant import order
 from kostant.order import PAPER_EXACT_LIMIT, _least_paper_degree
 from kostant.symchar import Partition, Schur
 
@@ -342,6 +343,26 @@ class TestSeparatingSymPower:
         assert c ** m_paper > (m_paper + n) ** n * d ** m_paper
         assert (m_paper + n) ** n * d ** m_paper > \
             math.comb(m_paper + n - 1, n - 1) * d ** m_paper
+
+    def test_paper_degree_is_checked(self, monkeypatch):
+        # m_min = 1: h_1 = 1.1 + 1/1.1 > 2. A paper degree of 1 would
+        # claim 1.1 > binom(2, 1) = 2, and the chain refutes that.
+        monkeypatch.setattr(order, "_least_paper_degree", lambda *args: 1)
+        with pytest.raises(AssertionError):
+            separating_sym_power([F(11, 10), F(10, 11)], [F(1), F(1)])
+
+    def test_tie_in_the_chain_is_settled_by_evaluation(self, monkeypatch):
+        # 2^1 = binom(2, 1) * 1^1: the chain cannot decide at m = 1
+        monkeypatch.setattr(order, "_least_paper_degree", lambda *args: 1)
+        calls = []
+        h_cmp = order._h_cmp
+        monkeypatch.setattr(order, "_h_cmp",
+                            lambda m, cv, dv: calls.append(m) or h_cmp(m, cv, dv))
+        assert separating_sym_power([F(2), F(1, 2)], [F(1), F(1)]) == (1, 1)
+        assert calls == [1]
+        monkeypatch.setattr(order, "_h_cmp", lambda m, cv, dv: 0)
+        with pytest.raises(AssertionError):
+            separating_sym_power([F(2), F(1, 2)], [F(1), F(1)])
 
 
 class TestFindSeparatingCharacter:

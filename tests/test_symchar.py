@@ -356,6 +356,12 @@ class TestAbsCharacter:
             moduli_sum = sum(rep_moduli(spec, x).values)
             assert math.isclose(direct, moduli_sum, rel_tol=1e-11)
 
+    @pytest.mark.parametrize("evaluate", [abs_character, spectral_radius_rep, rep_moduli])
+    @pytest.mark.parametrize("cap", [None, 10 ** 6])
+    def test_one_message_for_an_exterior_power_past_n(self, evaluate, cap):
+        with pytest.raises(BadIndex, match="^exterior power 4 exceeds dimension 3$"):
+            evaluate(Ext(4), [2.0, 1.0, 0.5], cap=cap)
+
     def test_equals_trace_of_rep_matrix(self, rng):
         x = random_sl_moduli(rng, 3)
         diag = np.diag(x.as_floats())
