@@ -5,7 +5,8 @@ Inputs are JSON files (matrix or moduli payloads, auto-detected by their
 'entries' / 'values' field). Reports are deterministic JSON on stdout or
 --out. Exit codes: 0 success, 1 mathematical negative (order fails /
 order holds when a witness was requested / not a hull member), 2 input
-error, 3 numerical failure.
+error, 3 numerical failure (an internal check that fails, such as a stalled
+T-transform chain, included).
 
 The matrix layers (cmjd, linalg, and numpy and scipy with them) and the
 self-check suites are imported by the handlers that use them, so a
@@ -51,8 +52,9 @@ from .symchar import ModuliVector, abs_character, rep_dim, spectral_radius_rep
 
 INPUT_ERRORS = (ParseError, LengthMismatch, NonPositive, BadIndex,
                 SumMismatch, PreconditionFailed, DimensionCap, ValueError)
+# AssertionError: an internal check failed, so there is no verdict to report
 NUMERICAL_ERRORS = (NonConvergence, IllConditioned, Singular, NotUnipotent,
-                    NotHyperbolic, Overflow)
+                    NotHyperbolic, Overflow, AssertionError)
 
 
 @dataclass

@@ -8,8 +8,10 @@ is one product over the block diagonalization g = V T W of
 ``linalg.spectral_projectors``; no Jordan basis is formed. That kernel
 makes one Schur form per matrix and merges the clusters into which
 rounding splits a defective eigenvalue, so Jordan blocks of moderate
-size decompose; the only other eigenvalue computations are the
-independent checks of the spectra of e and h.
+size decompose. cmjd checks the spectra of its own e and h in that same
+basis, by a Bauer-Fike bound that needs one product per factor; the
+spectra are computed by ``np.linalg.eigvals`` only when that bound cannot
+decide, and always by ``validate_cmjd`` on a triple it is handed.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from .errors import IllConditioned, NotHyperbolic, NotUnipotent, Singular
 from .linalg import (
     SINGULARITY_THRESHOLD,
+    SpectralDecomposition,
     as_matrix,
     identity_like,
     mat_norm,
@@ -29,6 +32,18 @@ from .linalg import (
 )
 
 DEFAULT_TOL = 1e-8
+
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+SPECTRUM_MARGIN = 100.0
+"""How far below tol * max(||g||, 1) a proven spectrum bound must lie to
+stand in for the eigenvalues. ``validate_cmjd`` computes the spectrum of
+X + E with ||E|| <= p(n) u ||X|| (backward stability of the QR algorithm),
+and Bauer-Fike in the same basis puts that within delta (1 + p(n) / (n + 1))
+of the coefficients, since delta holds the term gamma_(n+1) ||W|| ||X|| ||V||.
+So the independent check's own rounding is of order delta, and with this
+margin it cannot read a spectrum residual above the tolerance where cmjd
+proved one below it, for any p(n) up to 99 (n + 1)."""
 
 
 @dataclass(frozen=True)
@@ -77,7 +92,11 @@ def cmjd(g, tol: float = DEFAULT_TOL) -> CmjdTriple:
     Never returns a triple that validate_cmjd rejects: raises
     IllConditioned when any of its checks fails at tol (as when a
     defective eigenvalue stays split into clusters), or from the block
-    diagonalization. Raises Singular for non-invertible input.
+    diagonalization. Raises Singular for non-invertible input. The
+    spectra of e and h are checked without an eigensolve when the
+    Bauer-Fike bound of _spectrum_bounds, in the basis V, lies below
+    tol * max(||g||, 1) by the factor SPECTRUM_MARGIN; otherwise
+    np.linalg.eigvals computes them as validate_cmjd does.
     """
     m = to_complex(as_matrix(g))
     decomp = spectral_projectors(m, cluster_tol=tol)
@@ -85,11 +104,13 @@ def cmjd(g, tol: float = DEFAULT_TOL) -> CmjdTriple:
     r = np.abs(z)
     if r.max() == 0 or r.min() <= SINGULARITY_THRESHOLD * r.max():
         raise Singular("matrix has an eigenvalue at (or numerically at) zero")
+    phases = z / r
     h = decomp.combine(r)
-    e = decomp.combine(z / r)
+    e = decomp.combine(phases)
     u = decomp.combine(1.0 / z) @ m
 
-    report = _check_triple(m, e, h, u, tol)
+    bounds = _spectrum_bounds(decomp, e, h, phases, r)
+    report = _check_triple(m, e, h, u, tol, bounds)
     if not report.passed:
         failing = [name for name, ok in report.checks.items() if not ok]
         raise IllConditioned(f"decomposition fails {failing} at tolerance {tol:g}")
@@ -99,12 +120,70 @@ def cmjd(g, tol: float = DEFAULT_TOL) -> CmjdTriple:
     return CmjdTriple(elliptic=e, hyperbolic=h, unipotent=u, residuals=residuals)
 
 
+def _spectrum_bounds(decomp: SpectralDecomposition, e: np.ndarray, h: np.ndarray,
+                     e_coeffs, h_coeffs) -> tuple[float, float] | None:
+    """Upper bounds on the elliptic and hyperbolic spectrum residuals of
+    e ~ sum_i e_coeffs[i] P_i and h ~ sum_i h_coeffs[i] P_i, read in the
+    basis V, W of the block diagonalization decomp; None when W is too
+    far from V^-1 for the bound to hold.
+
+    Bauer & Fike, "Norms and exclusion theorems", Numer. Math. 2 (1960).
+    Let X be e or h, F = diag(c[labels]) its coefficients and
+    R = X V - V F. With rho = decomp.residual + gamma_(n+1) ||W|| ||V||
+    >= ||W V - I|| (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3, for the rounding of the computed W V) and
+    rho <= 1/2, V is invertible with ||V^-1|| <= ||W|| / (1 - rho), and
+    V^-1 X V = F + V^-1 R with F diagonal. So every eigenvalue of X lies
+    within
+        delta = ||W|| (||R^|| + gamma_(n+1) (||X|| ||V|| + ||V F||)) / (1 - rho)
+    of some c_i, where R^ is R as computed and the gamma term bounds its
+    rounding (Frobenius norms throughout). Hence ||lambda| - 1| <=
+    delta + max_i ||c_i| - 1| for e, and |lambda - |lambda|| <=
+    2 delta + max_i |c_i - |c_i|| for h; reading each deviation in
+    floating point errs by below 5 u |c_i|, which is added. Asking
+    rho <= 1/2 rather than rho < 1 keeps the rounding of the norms
+    themselves, of relative order gamma_(n+1), from moving the bounds by
+    more than that relative order.
+    """
+    v, w, labels = decomp.v, decomp.w, decomp.labels
+    k = len(labels) + 1
+    gamma = k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)  # Higham's gamma_(n+1)
+    col_sq = np.einsum("ij,ij->j", v.conj(), v).real
+    v_norm = float(np.sqrt(col_sq.sum()))
+    w_norm = mat_norm(w)
+    rho = decomp.residual + gamma * w_norm * v_norm
+    if not rho <= 0.5:
+        return None
+
+    def delta(x, c):
+        f = c[labels]
+        vf_norm = float(np.sqrt(col_sq @ (f.real ** 2 + f.imag ** 2)))
+        r_norm = mat_norm(x @ v - v * f)
+        return (w_norm * (r_norm + gamma * (mat_norm(x) * v_norm + vf_norm))
+                / (1.0 - rho))
+
+    c_e = np.asarray(e_coeffs, dtype=complex)
+    c_h = np.asarray(h_coeffs, dtype=complex)
+    elliptic = (delta(e, c_e) + float(np.max(np.abs(np.abs(c_e) - 1.0)))
+                + 5 * UNIT_ROUNDOFF * float(np.max(np.abs(c_e))))
+    hyperbolic = (2 * delta(h, c_h) + float(np.max(np.abs(c_h - np.abs(c_h))))
+                  + 5 * UNIT_ROUNDOFF * float(np.max(np.abs(c_h))))
+    return elliptic, hyperbolic
+
+
 def _check_triple(m: np.ndarray, e: np.ndarray, h: np.ndarray, u: np.ndarray,
-                  tol: float) -> CmjdReport:
-    """The checks of validate_cmjd on complex factors of m."""
+                  tol: float, bounds: tuple[float, float] | None = None) -> CmjdReport:
+    """The checks of validate_cmjd on complex factors of m.
+
+    bounds, from _spectrum_bounds, are proven upper bounds on the
+    elliptic and hyperbolic spectrum residuals. They stand in for the two
+    eigensolves when both lie below tol * max(||m||, 1) by the factor
+    SPECTRUM_MARGIN, so that the independent eigvals check of
+    validate_cmjd gives the same verdicts; otherwise (and when bounds is
+    None) np.linalg.eigvals computes both spectra.
+    """
     n = m.shape[0]
-    e_vals = np.linalg.eigvals(e)
-    h_vals = np.linalg.eigvals(h)
+    scale = max(mat_norm(m), 1.0)
     residuals = {
         "reconstruction": mat_norm(e @ h @ u - m),
         "commutation": max(
@@ -113,10 +192,16 @@ def _check_triple(m: np.ndarray, e: np.ndarray, h: np.ndarray, u: np.ndarray,
             mat_norm(h @ u - u @ h),
         ),
         "unipotency": mat_norm(np.linalg.matrix_power(u - np.eye(n), n)),
-        "elliptic_spectrum": float(np.max(np.abs(np.abs(e_vals) - 1.0))),
-        "hyperbolic_spectrum": float(np.max(np.abs(h_vals - np.abs(h_vals)))),
     }
-    scale = max(mat_norm(m), 1.0)
+    if bounds is not None and all(b * SPECTRUM_MARGIN <= tol * scale
+                                  for b in bounds):
+        residuals["elliptic_spectrum"], residuals["hyperbolic_spectrum"] = bounds
+    else:
+        e_vals = np.linalg.eigvals(e)
+        h_vals = np.linalg.eigvals(h)
+        residuals["elliptic_spectrum"] = float(np.max(np.abs(np.abs(e_vals) - 1.0)))
+        residuals["hyperbolic_spectrum"] = float(
+            np.max(np.abs(h_vals - np.abs(h_vals))))
     checks = {name: value <= tol * scale for name, value in residuals.items()}
     return CmjdReport(residuals=residuals, checks=checks, tol=tol)
 

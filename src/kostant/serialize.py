@@ -69,7 +69,8 @@ class MatrixInput:
 
 
 def parse_scalar(value, exact: bool):
-    """Number -> float; "p/q" string -> Fraction (requires exact mode)."""
+    """Number -> float (an int -> Fraction in exact mode); "p/q" string ->
+    Fraction in either mode."""
     if isinstance(value, bool):
         raise ParseError(f"expected a numeric scalar, got {value!r}")
     if isinstance(value, (int, float)):

@@ -129,6 +129,21 @@ def test_char_index_errors(spec, error, message, inputs, tmp_path, capsys):
     assert (report["error"], report["message"]) == (error, message)
 
 
+@pytest.mark.parametrize("flags", [[], ["--exact"]])
+def test_internal_check_failure_is_a_numerical_failure(flags, tmp_path, capsys):
+    # a near tie at level 1: the T-transform chain stalls on this pair,
+    # which must not read as exit 1, "not a member"
+    a = 2 * (1 + Fraction(1, 10 ** 11))
+    (tmp_path / "x.json").write_text(json.dumps({"values": ["2", "1/2"]}))
+    (tmp_path / "y.json").write_text(json.dumps({"values": [str(a), str(1 / a)]}))
+    code, report = run_json(["certify", "--x", str(tmp_path / "x.json"),
+                             "--y", str(tmp_path / "y.json"), *flags], capsys)
+    assert code == 3
+    assert set(report) == {"command", "error", "message"}
+    assert (report["command"], report["error"]) == ("certify", "AssertionError")
+    assert report["message"].startswith("T-transform chain stalled")
+
+
 def test_witness_past_float_range(tmp_path, capsys):
     # separated at k=1, m=235, where h_235 is past float range
     for name, logs in (("x", (3.5, 3.4, -6.9)), ("y", (3.51, -1.75, -1.76))):

@@ -1,5 +1,6 @@
 """Tests for the multiplicative decomposition and its logarithms."""
 
+import importlib
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.linalg import expm
 
 from kostant import (
     IllConditioned,
+    KostantError,
     NotHyperbolic,
     NotUnipotent,
     Singular,
@@ -31,6 +33,9 @@ from conftest import (
     random_unipotent_exact,
     random_unitary,
 )
+
+# the module, not the function that the package exports under its name
+cmjd_module = importlib.import_module("kostant.cmjd")
 
 
 class TestCmjdExamples:
@@ -223,8 +228,8 @@ class TestCmjdJordanBlocks:
 
 
 class TestOneFactorization:
-    """cmjd computes one Schur form; its only other eigenvalue calls are
-    the independent checks of the spectra of e and h."""
+    """cmjd computes one Schur form and no other eigenvalues: the spectra
+    of e and h are proven from the block basis of that form."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -244,12 +249,12 @@ class TestOneFactorization:
 
     def test_generic_input(self, rng, calls):
         cmjd(random_sl(rng, 12))
-        assert calls == {"schur": 1, "eigvals": 2, "block_diag": 0, "ztrsen": 0}
+        assert calls == {"schur": 1, "eigvals": 0, "block_diag": 0, "ztrsen": 0}
 
     def test_jordan_input(self, rng, calls):
         g, _ = jordan_direct_sum(rng, [3, 2, 4])
         cmjd(g)
-        assert calls["schur"] == 1 and calls["eigvals"] == 2
+        assert calls["schur"] == 1 and calls["eigvals"] == 0
         assert calls["block_diag"] == 0
 
     def test_hyperbolic_log(self, rng, calls):
@@ -257,6 +262,88 @@ class TestOneFactorization:
         calls.update(schur=0, eigvals=0)
         hyperbolic_log(h)
         assert calls == {"schur": 1, "eigvals": 0, "block_diag": 0, "ztrsen": 0}
+
+
+def own_factors(g):
+    """cmjd's factors of g before its checks, with the decomposition and
+    the coefficients they are built from."""
+    m = np.asarray(g, dtype=complex)
+    decomp = spectral_projectors(m)
+    z = np.array(decomp.spectrum.values)
+    r = np.abs(z)
+    return (m, decomp, decomp.combine(z / r), decomp.combine(r),
+            decomp.combine(1.0 / z) @ m, z / r, r)
+
+
+class TestProvenSpectra:
+    """cmjd checks the spectra of its own e and h by a Bauer-Fike bound in
+    the basis V, W of its block diagonalization, and calls eigvals only
+    when that bound cannot decide."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 24), st.lists(st.integers(1, 4), min_size=1, max_size=6),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_returned_triples_validate(self, n, sizes, jordan, seed):
+        rng = np.random.default_rng(seed)
+        if jordan:
+            g, _ = jordan_direct_sum(rng, sizes)
+        else:
+            g = random_invertible(rng, n)
+        try:
+            t = cmjd(g)
+        except KostantError:
+            return
+        assert validate_cmjd(g, t).passed
+
+    @pytest.mark.parametrize("jordan", [False, True])
+    def test_moved_elliptic_coefficient_fails(self, rng, jordan):
+        g = jordan_direct_sum(rng, [3, 2, 1, 2])[0] if jordan else random_sl(rng, 8)
+        m, decomp, e, h, u, phases, moduli = own_factors(g)
+        tol, scale = 1e-8, max(mat_norm(m), 1.0)
+        assert max(cmjd_module._spectrum_bounds(decomp, e, h, phases, moduli)) \
+            * cmjd_module.SPECTRUM_MARGIN <= tol * scale
+        phases = phases.copy()
+        phases[0] *= 1 + 1e-6
+        e = decomp.combine(phases)
+        bounds = cmjd_module._spectrum_bounds(decomp, e, h, phases, moduli)
+        assert bounds[0] >= 1e-6 > tol * scale
+        report = cmjd_module._check_triple(m, e, h, u, tol, bounds)
+        assert not report.checks["elliptic_spectrum"]
+        assert report.checks["hyperbolic_spectrum"]
+
+    @pytest.mark.parametrize("jordan", [False, True])
+    def test_rotated_hyperbolic_coefficient_fails(self, rng, jordan):
+        g = jordan_direct_sum(rng, [3, 2, 1, 2])[0] if jordan else random_sl(rng, 8)
+        m, decomp, e, h, u, phases, moduli = own_factors(g)
+        tol, scale = 1e-8, max(mat_norm(m), 1.0)
+        moduli = moduli.astype(complex)
+        moduli[0] *= np.exp(1e-6j)  # the largest modulus, at least 1 on SL_n
+        h = decomp.combine(moduli)
+        bounds = cmjd_module._spectrum_bounds(decomp, e, h, phases, moduli)
+        assert bounds[1] >= 1e-6 * abs(moduli[0]) * (1 - 1e-6) > tol * scale
+        report = cmjd_module._check_triple(m, e, h, u, tol, bounds)
+        assert not report.checks["hyperbolic_spectrum"]
+        assert report.checks["elliptic_spectrum"]
+
+    def test_near_defective_falls_back_to_eigvals(self, monkeypatch):
+        # eigenvalues d apart with coupling 1: projector norms about 1/d
+        # put the bound above the tolerance, so eigvals decides
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: calls.append(1) or eigvals(a))
+        for d in (1e-4, 1e-5, 1e-6):
+            g = np.array([[1.0, 1.0], [0.0, 1.0 + d]])
+            m, decomp, e, h, u, phases, moduli = own_factors(g)
+            bounds = cmjd_module._spectrum_bounds(decomp, e, h, phases, moduli)
+            assert max(bounds) > 1e-8 * mat_norm(m)
+            calls.clear()
+            t = cmjd(g)
+            assert len(calls) == 2
+            own = cmjd_module._check_triple(m, e, h, u, 1e-8, bounds)
+            report = validate_cmjd(g, t)
+            assert own.residuals == report.residuals
+            assert own.passed and report.passed
 
 
 class TestUnipotentLog:
