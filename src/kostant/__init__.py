@@ -50,8 +50,6 @@ from .order import (
     check_topk,
     find_separating_character,
     kostant_compare,
-    majorize_additive,
-    majorize_multiplicative,
     permutohedron_certificate,
     separating_sym_power,
     verify_certificate,

@@ -19,9 +19,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import serialize
+from ._frozen import frozen
 from .errors import (
     BadIndex,
     DimensionCap,
@@ -44,6 +44,7 @@ from .order import (
     EQUAL,
     GEQ,
     SeparatingFunctional,
+    _LogRatio,
     find_separating_character,
     kostant_compare,
     permutohedron_certificate,
@@ -57,10 +58,10 @@ NUMERICAL_ERRORS = (NonConvergence, IllConditioned, Singular, NotUnipotent,
                     NotHyperbolic, Overflow, AssertionError)
 
 
-@dataclass
+@frozen
 class JobConfig:
     command: str
-    inputs: dict[str, str] = field(default_factory=dict)
+    inputs: dict[str, str]
     tol: float = 1e-8
     exact: bool = False
     dim_cap: int = 10 ** 6
@@ -172,12 +173,32 @@ def _run_certify(config: JobConfig) -> tuple[int, dict]:
     y = _load_moduli(config.inputs["y"], config)
     lx = [math.log(v) for v in x.as_floats()]
     ly = [math.log(v) for v in y.as_floats()]
-    result = permutohedron_certificate(lx, ly)
+    if x.exact and y.exact:
+        result = _exact_hull_certificate(x, y, lx, ly)
+    else:
+        result = permutohedron_certificate(lx, ly)
     if isinstance(result, SeparatingFunctional):
         return 1, {"command": "certify", "member": False,
                    "functional": serialize.functional_to_json(result)}
     return 0, {"command": "certify", "member": True,
                "certificate": serialize.certificate_to_json(result)}
+
+
+def _exact_hull_certificate(x: ModuliVector, y: ModuliVector, lx: list, ly: list):
+    """permutohedron_certificate(lx, ly) for exact moduli x, y, with
+    membership decided on their exact prefix products, as kostant_compare
+    decides it, in place of the float tie band. A non-member's functional
+    takes its margin log(P_k(y) / P_k(x)) from the exact ratio; the float
+    T-chain serves only as the certificate of a member."""
+    verdict = kostant_compare(x, y)
+    if x.product() != y.product():
+        raise SumMismatch(f"totals differ: {sum(lx)} vs {sum(ly)}")
+    if verdict.relation in (GEQ, EQUAL):
+        return permutohedron_certificate(lx, ly)
+    k = verdict.failing_level
+    margin = _LogRatio.of(math.prod(y.values[:k]), math.prod(x.values[:k])).log
+    return SeparatingFunctional(k=k, margin=margin, hull_max=sum(lx[:k]),
+                                value_at_y=sum(ly[:k]))
 
 
 def _run_selfcheck(config: JobConfig) -> tuple[int, dict]:

@@ -16,10 +16,9 @@ decide, and always by ``validate_cmjd`` on a triple it is handed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._frozen import frozen
 from .errors import IllConditioned, NotHyperbolic, NotUnipotent, Singular
 from .linalg import (
     SINGULARITY_THRESHOLD,
@@ -46,7 +45,7 @@ margin it cannot read a spectrum residual above the tolerance where cmjd
 proved one below it, for any p(n) up to 99 (n + 1)."""
 
 
-@dataclass(frozen=True)
+@frozen
 class CmjdTriple:
     """Factors of g = elliptic * hyperbolic * unipotent, with residuals.
 
@@ -66,7 +65,7 @@ class CmjdTriple:
         return self.elliptic.shape[0]
 
 
-@dataclass(frozen=True)
+@frozen
 class CmjdReport:
     """Outcome of validate_cmjd: residuals plus per-invariant verdicts."""
 

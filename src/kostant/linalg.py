@@ -26,13 +26,13 @@ Numer. Anal. 16, 1979). Then f(g) = sum_i f(z_i) P_i is the one product
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.lapack import ztrsen, ztrsyl
 
+from ._frozen import frozen
 from .errors import IllConditioned, NonConvergence
 from .symchar import ModuliVector
 
@@ -206,7 +206,7 @@ def mat_norm(a, ord="fro") -> float:
 # --- spectra and projectors --------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class Spectrum:
     """Clustered eigenvalues of a square matrix.
 
@@ -235,7 +235,7 @@ class Spectrum:
         return out
 
 
-@dataclass(frozen=True)
+@frozen
 class SpectralDecomposition:
     """Block diagonalization g = V T W, with W = V^-1 and T block
     diagonal; blocks[i] holds cluster i of ``spectrum.clusters``, and

@@ -10,24 +10,24 @@ prefix functionals (or separating characters) certifying failure.
 
 Comparison policy: exact inputs (Fractions) are compared exactly; float
 comparisons treat differences within REL_SLACK of a scale as ties.
-Every prefix test (majorize_additive, majorize_multiplicative,
-kostant_compare, permutohedron_certificate, find_separating_character)
-reads the per-level comparisons of one kernel, _prefix_cmp, over running
-sums, or running products for exact multiplicative input; each caller
-supplies its own scale. The witness search scans h_m degrees
-with the one float h_m recurrence of symchar (_h_scan), and settles
-in-band h_m comparisons exactly under one tie rule (_h_sign); binary
-floats are rationals.
+Every prefix test (kostant_compare, permutohedron_certificate,
+find_separating_character) reads the per-level comparisons of one
+kernel, _prefix_cmp, over running sums, or running products for exact
+multiplicative input; each caller supplies its own scale. The witness
+search scans h_m degrees with the one float h_m recurrence of symchar
+(_h_scan), and settles in-band h_m comparisons exactly under one tie
+rule (_h_sign); binary floats are rationals.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from itertools import accumulate, permutations
 from operator import add, mul, sub
 
+from ._frozen import frozen
 from .errors import (
     DimensionCap,
     LengthMismatch,
@@ -92,7 +92,7 @@ def _prefix_cmp(xs, ys, scale=None, op=add) -> list[int]:
 # --- domain types -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class LogVector:
     """Additive avatar of hyperbolic data: reals sorted non-increasing."""
 
@@ -120,7 +120,7 @@ class LogVector:
         return all(_is_exact(v) for v in self.values)
 
 
-@dataclass(frozen=True)
+@frozen
 class OrderVerdict:
     """Outcome of kostant_compare.
 
@@ -132,7 +132,7 @@ class OrderVerdict:
     failing_level: int | None = None
 
 
-@dataclass(frozen=True)
+@frozen
 class TTransformCertificate:
     """Hull-membership certificate: at most n-1 two-coordinate averagings.
 
@@ -146,7 +146,7 @@ class TTransformCertificate:
     end: LogVector
 
 
-@dataclass(frozen=True)
+@frozen
 class SeparatingFunctional:
     """Hull-separation certificate: the top-k coordinate-sum functional.
 
@@ -160,7 +160,7 @@ class SeparatingFunctional:
     value_at_y: object
 
 
-@dataclass(frozen=True)
+@frozen
 class SeparatingWitness:
     """A representation whose absolute character strictly separates y over x.
 
@@ -179,15 +179,21 @@ class SeparatingWitness:
     dimension: int
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
+@frozen
 class LogValue:
     """A positive value kept as its natural log, for where floats
     overflow; LogValues order as their values do."""
 
     log: float
 
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.log < other.log
+        return NotImplemented
 
-@dataclass(frozen=True)
+
+@frozen
 class TopKLevel:
     k: int
     sum_margin: float
@@ -195,7 +201,7 @@ class TopKLevel:
     ok: bool
 
 
-@dataclass(frozen=True)
+@frozen
 class TopKReport:
     spec: RepSpec
     dimension: int
@@ -207,7 +213,7 @@ class TopKReport:
         return all(level.ok for level in self.levels)
 
 
-# --- majorization predicates ----------------------------------------------------
+# --- the order -------------------------------------------------------------------
 
 
 def _sorted_values(x) -> tuple:
@@ -218,45 +224,9 @@ def _sorted_values(x) -> tuple:
     return LogVector.from_values(x).values
 
 
-def majorize_additive(x, y, *, weak: bool = False) -> bool:
-    """Prefix-sum dominance of sorted x over sorted y.
-
-    Strict (default) form also requires equal totals; the weak form
-    (prefix dominance only) is what multiplicative majorization of
-    positive vectors implies for the raw values.
-    """
-    xs, ys = _sorted_values(x), _sorted_values(y)
-    if len(xs) != len(ys):
-        raise LengthMismatch(f"lengths {len(xs)} != {len(ys)}")
-    levels = _prefix_cmp(xs, ys, _abs_scale(xs, ys))
-    if weak:
-        return min(levels) >= 0
-    return _majorizes(levels)
-
-
-def _majorizes(levels: list[int]) -> bool:
-    """Every proper prefix at least as large, and equal totals."""
-    return min(levels[:-1], default=0) >= 0 and levels[-1] == 0
-
-
 def _abs_scale(xs, ys) -> float:
     return float(sum(abs(float(v)) for v in xs) +
                  sum(abs(float(v)) for v in ys)) or 1.0
-
-
-def majorize_multiplicative(x, y) -> bool:
-    """Prefix-product dominance with equal total products.
-
-    Implemented as additive majorization of the log vectors; exact inputs
-    are decided exactly on prefix products instead.
-    """
-    xv, yv = _as_moduli(x), _as_moduli(y)
-    if xv.n != yv.n:
-        raise LengthMismatch(f"lengths {xv.n} != {yv.n}")
-    if xv.exact and yv.exact:
-        return _majorizes(_prefix_cmp(xv.values, yv.values, op=mul))
-    return majorize_additive(LogVector(xv.log_values()),
-                             LogVector(yv.log_values()))
 
 
 def kostant_compare(x, y) -> OrderVerdict:
@@ -462,7 +432,7 @@ def separating_sym_power(c_vec, d_vec, *,
     return m_min, m_paper
 
 
-@dataclass(frozen=True)
+@frozen
 class _LogRatio:
     """log(c/d) for c > d > 0 from the exact ratio, with the magnitude of
     the logs it was formed from, which bounds its rounding error."""

@@ -13,12 +13,12 @@ fail (used to test failure plumbing end to end).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
 
+from ._frozen import frozen
 from .cmjd import cmjd, validate_cmjd
 from .linalg import mat_norm, spectral_projectors
 from .order import (
@@ -47,7 +47,7 @@ SUITE_NAMES = ("projectors", "cmjd", "characters", "order", "witness")
 SEED = 20240
 
 
-@dataclass(frozen=True)
+@frozen
 class SuiteResult:
     name: str
     passed: bool

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from ._frozen import frozen
 from .errors import ParseError
 from .order import (
     LogValue,
@@ -56,7 +56,7 @@ if TYPE_CHECKING:
     from .cmjd import CmjdTriple
 
 
-@dataclass(frozen=True)
+@frozen
 class MatrixInput:
     """Parsed matrix payload: complex matrix and optional externally
     supplied eigenvalues (exact in exact mode)."""

@@ -33,11 +33,11 @@ import math
 import operator
 import sys
 from collections import deque, namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, product
 
+from ._frozen import frozen
 from .errors import BadIndex, DimensionCap, LengthMismatch, NonPositive, Overflow
 
 DEFAULT_MODULI_CAP = 10 ** 6
@@ -51,7 +51,7 @@ def _is_exact(value) -> bool:
 # --- domain types -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class ModuliVector:
     """Positive eigenvalue moduli sorted non-increasing.
 
@@ -111,7 +111,7 @@ class ModuliVector:
             [math.exp(v - mean) for v in logs])
 
 
-@dataclass(frozen=True)
+@frozen
 class Partition:
     """Weakly decreasing tuple of nonnegative integers (trailing zeros dropped)."""
 
@@ -138,7 +138,7 @@ class RepSpec:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@frozen
 class Sym(RepSpec):
     m: int
 
@@ -147,7 +147,7 @@ class Sym(RepSpec):
             raise ValueError("symmetric power degree must be nonnegative")
 
 
-@dataclass(frozen=True)
+@frozen
 class Ext(RepSpec):
     k: int
 
@@ -156,18 +156,18 @@ class Ext(RepSpec):
             raise ValueError("exterior power index must be nonnegative")
 
 
-@dataclass(frozen=True)
+@frozen
 class Schur(RepSpec):
     shape: Partition
 
 
-@dataclass(frozen=True)
+@frozen
 class Tensor(RepSpec):
     left: RepSpec
     right: RepSpec
 
 
-@dataclass(frozen=True)
+@frozen
 class DirectSum(RepSpec):
     parts: tuple[RepSpec, ...]
 
@@ -176,7 +176,7 @@ class DirectSum(RepSpec):
             raise ValueError("direct sum needs at least one part")
 
 
-@dataclass(frozen=True)
+@frozen
 class Compose(RepSpec):
     outer: RepSpec
     inner: RepSpec

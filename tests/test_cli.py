@@ -1,5 +1,5 @@
 """Command-line flags: each subcommand takes only the options it reads;
-subcommands on moduli input start without the matrix layers."""
+subcommands on moduli input start without the matrix layers or dataclasses."""
 
 import json
 import math
@@ -131,17 +131,33 @@ def test_char_index_errors(spec, error, message, inputs, tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [[], ["--exact"]])
 def test_internal_check_failure_is_a_numerical_failure(flags, tmp_path, capsys):
-    # a near tie at level 1: the T-transform chain stalls on this pair,
-    # which must not read as exit 1, "not a member"
-    a = 2 * (1 + Fraction(1, 10 ** 11))
-    (tmp_path / "x.json").write_text(json.dumps({"values": ["2", "1/2"]}))
-    (tmp_path / "y.json").write_text(json.dumps({"values": [str(a), str(1 / a)]}))
+    # a near tie at level 1 in floats: the T-transform chain stalls on this
+    # pair, which must not read as exit 1, "not a member"
+    a = 2 * (1 + 1e-11)
+    (tmp_path / "x.json").write_text(json.dumps({"values": [2.0, 0.5]}))
+    (tmp_path / "y.json").write_text(json.dumps({"values": [a, 1 / a]}))
     code, report = run_json(["certify", "--x", str(tmp_path / "x.json"),
                              "--y", str(tmp_path / "y.json"), *flags], capsys)
     assert code == 3
     assert set(report) == {"command", "error", "message"}
     assert (report["command"], report["error"]) == ("certify", "AssertionError")
     assert report["message"].startswith("T-transform chain stalled")
+
+
+@pytest.mark.parametrize("delta", [10 ** -10, 10 ** -12, 10 ** -14, 10 ** -20])
+@pytest.mark.parametrize("flags", [[], ["--exact"]])
+def test_certify_decides_exact_near_ties_exactly(delta, flags, tmp_path, capsys):
+    # y = (a, 1/a) with a = 2(1 + delta) leaves the hull of x = (2, 1/2) at
+    # level 1, as order finds, however small delta is
+    a = 2 * (1 + Fraction(delta))
+    (tmp_path / "x.json").write_text(json.dumps({"values": ["2", "1/2"]}))
+    (tmp_path / "y.json").write_text(json.dumps({"values": [str(a), str(1 / a)]}))
+    x, y = str(tmp_path / "x.json"), str(tmp_path / "y.json")
+    code, report = run_json(["certify", "--x", x, "--y", y, *flags], capsys)
+    assert (code, report["member"], report["functional"]["k"]) == (1, False, 1)
+    assert report["functional"]["margin"] == pytest.approx(float(delta), rel=1e-9)
+    code, report = run_json(["order", "--g1", x, "--g2", y, *flags], capsys)
+    assert (code, report["relation"], report["failing_level"]) == (1, "LEQ", 1)
 
 
 def test_witness_past_float_range(tmp_path, capsys):
@@ -181,6 +197,9 @@ def test_exact_witness_past_the_digit_limit(tmp_path, capsys):
 
 MATRIX_MODULES = ("numpy", "scipy", "kostant.cmjd", "kostant.linalg",
                   "kostant.selfcheck")
+# standard modules that a moduli subcommand does without: dataclasses,
+# and the inspect module that it imports
+STARTUP_COSTS = ("dataclasses", "inspect")
 EXPORTS = """
     BadIndex CmjdReport CmjdTriple ComplexRational Compose DimensionCap
     DirectSum EQUAL Ext GEQ INCOMPARABLE IllConditioned KostantError LEQ
@@ -191,8 +210,8 @@ EXPORTS = """
     TTransformCertificate Tensor TopKReport abs_character apply_t_transforms
     check_topk cmjd complete_homogeneous complete_homogeneous_log
     eigen_spectrum elementary find_separating_character hyperbolic_log
-    kostant_compare kostka_number majorize_additive majorize_multiplicative
-    mat_norm matrix_moduli moduli_from_eigenvalues permutohedron_certificate
+    kostant_compare kostka_number mat_norm matrix_moduli
+    moduli_from_eigenvalues permutohedron_certificate
     rep_dim rep_moduli schur separating_sym_power spectral_projectors
     spectral_radius_rep unipotent_log validate_cmjd verify_certificate
     verify_functional
@@ -209,7 +228,7 @@ def fresh(code: str) -> str:
 
 def main_in_fresh_interpreter(argvs):
     """Exit code and report of main on each argv, run in turn in one new
-    interpreter, and the matrix modules loaded after them."""
+    interpreter, and the matrix modules and STARTUP_COSTS loaded after them."""
     codes, reports, modules = json.loads(fresh(
         "import io, json, sys\n"
         "from contextlib import redirect_stdout\n"
@@ -221,7 +240,8 @@ def main_in_fresh_interpreter(argvs):
         "    reports.append(out.getvalue())\n"
         "print(json.dumps([codes, reports, sorted(sys.modules)]))\n"))
     loaded = [m for m in modules
-              if any(m == f or m.startswith(f + ".") for f in MATRIX_MODULES)]
+              if any(m == f or m.startswith(f + ".") for f in MATRIX_MODULES)
+              or m in STARTUP_COSTS]
     return list(zip(codes, reports)), loaded
 
 

@@ -3,7 +3,7 @@ matrix code, and symchar reads a rep spec tree in one walk. The package,
 the CLI and serialize import matrix code only inside the functions that
 use it, so importing them loads neither numpy nor scipy. Checked on the
 source with ast, and for the moduli layers also on sys.modules in a fresh
-interpreter."""
+interpreter. No module imports dataclasses (kostant._frozen stands in)."""
 
 import ast
 import os
@@ -61,6 +61,12 @@ def test_front_modules_import_matrix_code_in_functions_only(module):
     bad = [name for name in imported_modules(PACKAGE / module, eager=True)
            if is_forbidden(name)]
     assert bad == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # its import loads inspect, and each dataclass costs six execs at start-up
+    assert "dataclasses" not in imported_modules(path)
 
 
 @pytest.mark.parametrize("module", ["kostant.order", "kostant.serialize"])

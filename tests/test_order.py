@@ -1,4 +1,4 @@
-"""Tests for majorization predicates, certificates, and witness search."""
+"""Tests for the order, its certificates, and witness search."""
 
 import math
 import os
@@ -36,8 +36,6 @@ from kostant import (
     complete_homogeneous_log,
     find_separating_character,
     kostant_compare,
-    majorize_additive,
-    majorize_multiplicative,
     permutohedron_certificate,
     schur,
     separating_sym_power,
@@ -63,54 +61,74 @@ def F(*args):
     return Fraction(*args)
 
 
+def members(x, y):
+    """Additive majorization of sorted y by sorted x, read off the certificate."""
+    return isinstance(permutohedron_certificate(x, y), TTransformCertificate)
+
+
+def dominates(x, y):
+    """Multiplicative majorization of y by x, read off the verdict."""
+    return kostant_compare(x, y).relation in (GEQ, EQUAL)
+
+
 class TestMajorizeAdditive:
     def test_basic_dominance(self):
-        assert majorize_additive([1.0, 0.0, -1.0], [0.5, 0.0, -0.5])
+        assert members([1.0, 0.0, -1.0], [0.5, 0.0, -0.5])
 
     def test_reflexive(self):
-        assert majorize_additive([2.0, -1.0], [2.0, -1.0])
+        assert members([2.0, -1.0], [2.0, -1.0])
 
     def test_prefix_violation(self):
         # prefix at k=2: 2 < 3
-        assert not majorize_additive([2.0, 0.0, -2.0], [1.5, 1.5, -3.0])
+        assert not members([2.0, 0.0, -2.0], [1.5, 1.5, -3.0])
 
     def test_total_mismatch_fails_strict_form(self):
-        assert not majorize_additive([4.0, 0.25], [2.0, 0.5])
-        assert majorize_additive([4.0, 0.25], [2.0, 0.5], weak=True)
+        with pytest.raises(SumMismatch):
+            permutohedron_certificate([4.0, 0.25], [2.0, 0.5])
+        # the order itself normalizes the total away
+        assert dominates([math.exp(4.0), math.exp(0.25)],
+                         [math.exp(2.0), math.exp(0.5)])
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            majorize_additive([1.0], [1.0, 0.0])
+            permutohedron_certificate([1.0], [1.0, 0.0])
+        with pytest.raises(LengthMismatch):
+            kostant_compare([1.0], [1.0, 1.0])
 
     def test_exact_ties(self):
-        assert majorize_additive([F(1), F(0), F(-1)], [F(1), F(0), F(-1)])
-        assert not majorize_additive([F(1), F(0), F(-1)],
-                                     [F(1), F(1, 10 ** 9), F(-1 - 10 ** -9)])
+        assert members([F(1), F(0), F(-1)], [F(1), F(0), F(-1)])
+        gap = F(1, 10 ** 12)
+        result = permutohedron_certificate([F(1), F(0), F(-1)],
+                                           [F(1), gap, F(-1) - gap])
+        assert isinstance(result, SeparatingFunctional)
+        assert result.k == 2 and result.margin == gap
 
 
 class TestMajorizeMultiplicative:
     def test_log_dominance(self):
-        assert majorize_multiplicative([4.0, 1.0, 0.25], [2.0, 1.0, 0.5])
+        assert dominates([4.0, 1.0, 0.25], [2.0, 1.0, 0.5])
 
     def test_reflexive(self):
-        assert majorize_multiplicative([3.0, 1.0], [3.0, 1.0])
+        assert dominates([3.0, 1.0], [3.0, 1.0])
 
     def test_prefix_product_violation(self):
         # prefix products: 4 >= 3 but 2 < 3
-        assert not majorize_multiplicative([4.0, 0.5, 0.5], [3.0, 1.0, 1 / 3])
+        assert not dominates([4.0, 0.5, 0.5], [3.0, 1.0, 1 / 3])
 
     def test_exact_path(self):
-        assert majorize_multiplicative([F(4), F(1), F(1, 4)],
-                                       [F(2), F(1), F(1, 2)])
-        assert not majorize_multiplicative([F(4), F(1, 2), F(1, 2)],
-                                           [F(3), F(1), F(1, 3)])
+        assert dominates([F(4), F(1), F(1, 4)], [F(2), F(1), F(1, 2)])
+        assert not dominates([F(4), F(1, 2), F(1, 2)], [F(3), F(1), F(1, 3)])
 
     def test_implies_weak_additive(self, rng):
+        # log-majorization of positive vectors implies weak majorization
         for _ in range(100):
             n = int(rng.integers(2, 7))
             x, y = dominated_moduli_pair(rng, n)
-            assert majorize_multiplicative(x, y)
-            assert majorize_additive(x.values, y.values, weak=True)
+            assert dominates(x, y)
+            xs, ys = sorted(x.values, reverse=True), sorted(y.values, reverse=True)
+            tol = 1e-10 * (sum(xs) + sum(ys))
+            for k in range(1, n + 1):
+                assert sum(xs[:k]) >= sum(ys[:k]) - tol
 
 
 class TestKostantCompare:
@@ -177,7 +195,9 @@ class TestPrefixDominanceAgreement:
         verdict = kostant_compare(x, y)
         cert = permutohedron_certificate(xl, yl)
         member = verdict.relation in (GEQ, EQUAL)
-        assert majorize_multiplicative(x, y) == member
+        radii_geq = all(spectral_radius_rep(Ext(k), x) >= spectral_radius_rep(Ext(k), y)
+                        for k in range(1, len(x)))
+        assert radii_geq == member
         assert isinstance(cert, TTransformCertificate) == member
         if not member:
             assert cert.k == verdict.failing_level
