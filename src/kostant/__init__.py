@@ -12,9 +12,9 @@ matrix exports of cmjd and linalg, and numpy and scipy with them, load on
 first use.
 """
 
+import importlib
 import sys
-from importlib import import_module
-from types import ModuleType
+import types
 
 from .errors import (
     BadIndex,
@@ -26,11 +26,9 @@ from .errors import (
     NonPositive,
     NotHyperbolic,
     NotSeparable,
-    NotUnipotent,
     OrderHolds,
     Overflow,
     ParseError,
-    PreconditionFailed,
     Singular,
     SumMismatch,
 )
@@ -45,15 +43,12 @@ from .order import (
     SeparatingFunctional,
     SeparatingWitness,
     TTransformCertificate,
-    TopKReport,
     apply_t_transforms,
-    check_topk,
     find_separating_character,
     kostant_compare,
     permutohedron_certificate,
     separating_sym_power,
     verify_certificate,
-    verify_functional,
 )
 from .symchar import (
     Compose,
@@ -69,7 +64,6 @@ from .symchar import (
     complete_homogeneous,
     complete_homogeneous_log,
     elementary,
-    kostka_number,
     rep_dim,
     rep_moduli,
     schur,
@@ -82,7 +76,7 @@ __version__ = "0.1.0"
 # (order, symchar, serialize, cli) loads neither numpy nor scipy.
 _LAZY = {
     **dict.fromkeys(("CmjdReport", "CmjdTriple", "cmjd", "hyperbolic_log",
-                     "unipotent_log", "validate_cmjd"), "cmjd"),
+                     "validate_cmjd"), "cmjd"),
     **dict.fromkeys(("ComplexRational", "SpectralDecomposition", "Spectrum",
                      "eigen_spectrum", "mat_norm", "matrix_moduli",
                      "moduli_from_eigenvalues", "spectral_projectors"), "linalg"),
@@ -92,7 +86,7 @@ _LAZY = {
 def __getattr__(name):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = import_module(f".{_LAZY[name]}", __name__)
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
     value = globals()[name] = getattr(module, name)
     return value
 
@@ -101,7 +95,7 @@ def __dir__():
     return sorted(set(globals()) | set(_LAZY))
 
 
-class _Package(ModuleType):
+class _Package(types.ModuleType):
     """The package keeps its exports over submodules of the same name.
 
     The import system binds a submodule on its package when it first
@@ -110,7 +104,7 @@ class _Package(ModuleType):
     """
 
     def __setattr__(self, name, value):
-        if not (name in _LAZY and isinstance(value, ModuleType)):
+        if not (name in _LAZY and isinstance(value, types.ModuleType)):
             super().__setattr__(name, value)
 
 

@@ -5,7 +5,7 @@ Inputs are JSON files (matrix or moduli payloads, auto-detected by their
 'entries' / 'values' field). Reports are deterministic JSON on stdout or
 --out. Exit codes: 0 success, 1 mathematical negative (order fails /
 order holds when a witness was requested / not a hull member), 2 input
-error, 3 numerical failure (an internal check that fails, such as a stalled
+error (an unwritable --out included), 3 numerical failure (an internal check that fails, such as a stalled
 T-transform chain, included).
 
 The matrix layers (cmjd, linalg, and numpy and scipy with them) and the
@@ -32,11 +32,9 @@ from .errors import (
     NonPositive,
     NotHyperbolic,
     NotSeparable,
-    NotUnipotent,
     OrderHolds,
     Overflow,
     ParseError,
-    PreconditionFailed,
     Singular,
     SumMismatch,
 )
@@ -52,10 +50,10 @@ from .order import (
 from .symchar import ModuliVector, abs_character, rep_dim, spectral_radius_rep
 
 INPUT_ERRORS = (ParseError, LengthMismatch, NonPositive, BadIndex,
-                SumMismatch, PreconditionFailed, DimensionCap, ValueError)
+                SumMismatch, DimensionCap, ValueError)
 # AssertionError: an internal check failed, so there is no verdict to report
-NUMERICAL_ERRORS = (NonConvergence, IllConditioned, Singular, NotUnipotent,
-                    NotHyperbolic, Overflow, AssertionError)
+NUMERICAL_ERRORS = (NonConvergence, IllConditioned, Singular, NotHyperbolic,
+                    Overflow, AssertionError)
 
 
 @frozen
@@ -107,9 +105,7 @@ def run(config: JobConfig) -> tuple[int, dict]:
         raise ParseError(f"unknown command {config.command!r}") from None
     try:
         return handler(config)
-    except OrderHolds as exc:
-        return 1, _error_report(config, exc)
-    except NotSeparable as exc:
+    except (OrderHolds, NotSeparable) as exc:
         return 1, _error_report(config, exc)
     except INPUT_ERRORS as exc:
         return 2, _error_report(config, exc)
@@ -232,11 +228,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and separating characters on SL_n(C).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def options(p, *, tol=True, exact=True, dim_cap=False):
-        """The flags the subcommand reads, then --out."""
+    def options(p, *, tol="relative eigenvalue-clustering tolerance for "
+                          "matrix input", exact=True, dim_cap=False):
+        """The flags the subcommand reads, then --out; tol is the help
+        text of --tol, or None without it."""
         if tol:
-            p.add_argument("--tol", type=float, default=1e-8,
-                           help="relative tolerance for residuals and clustering")
+            p.add_argument("--tol", type=float, default=1e-8, help=tol)
         if exact:
             p.add_argument("--exact", action="store_true",
                            help="parse rational inputs and compare exactly")
@@ -248,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="complete multiplicative Jordan "
                                          "decomposition of a matrix")
     p.add_argument("--g", required=True, help="matrix JSON file")
-    options(p, exact=False)
+    options(p, tol="relative tolerance for residuals and clustering", exact=False)
 
     p = sub.add_parser("order", help="decide the partial order between two "
                                      "elements (matrices or moduli)")
@@ -280,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-perturbation", action="store_true",
                    dest="inject_fault",
                    help="perturb a factor to force a validation failure")
-    options(p, tol=False, exact=False)
+    options(p, tol=None, exact=False)
 
     return parser
 
@@ -318,8 +315,12 @@ def main(argv=None) -> int:
         return 3
     text = serialize.dumps(report)
     if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write {config.out}: {exc}\n")
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -19,15 +19,13 @@ from __future__ import annotations
 import numpy as np
 
 from ._frozen import frozen
-from .errors import IllConditioned, NotHyperbolic, NotUnipotent, Singular
+from .errors import IllConditioned, NotHyperbolic, Singular
 from .linalg import (
     SINGULARITY_THRESHOLD,
     SpectralDecomposition,
     as_matrix,
-    identity_like,
     mat_norm,
     spectral_projectors,
-    to_complex,
 )
 
 DEFAULT_TOL = 1e-8
@@ -97,7 +95,7 @@ def cmjd(g, tol: float = DEFAULT_TOL) -> CmjdTriple:
     tol * max(||g||, 1) by the factor SPECTRUM_MARGIN; otherwise
     np.linalg.eigvals computes them as validate_cmjd does.
     """
-    m = to_complex(as_matrix(g))
+    m = as_matrix(g)
     decomp = spectral_projectors(m, cluster_tol=tol)
     z = np.array(decomp.spectrum.values)
     r = np.abs(z)
@@ -205,35 +203,6 @@ def _check_triple(m: np.ndarray, e: np.ndarray, h: np.ndarray, u: np.ndarray,
     return CmjdReport(residuals=residuals, checks=checks, tol=tol)
 
 
-def unipotent_log(u, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Nilpotent logarithm of a unipotent matrix.
-
-    Evaluates the terminating series
-    log u = -(I-u)/1 - (I-u)^2/2 - ... - (I-u)^(n-1)/(n-1).
-    Exact inputs (object arrays of Fraction / ComplexRational) are
-    processed exactly and yield an exact nilpotent result.
-
-    Raises NotUnipotent when ||(u - I)^n|| > tol * ||u||^n.
-    """
-    m = as_matrix(u)
-    n = m.shape[0]
-    eye = identity_like(m)
-    nil = eye - m  # I - u, nilpotent for unipotent u
-    power = nil
-    for _ in range(n - 1):
-        power = power @ nil
-    if mat_norm(power) > tol * max(mat_norm(m), 1.0) ** n:
-        raise NotUnipotent(
-            f"(u - I)^{n} has norm {mat_norm(power):.3e}; input is not unipotent "
-            f"at tolerance {tol:g}")
-    result = eye - eye  # zero of the right dtype
-    term = eye
-    for k in range(1, n):
-        term = term @ nil
-        result = result - term / k
-    return result
-
-
 def hyperbolic_log(h, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Real-semisimple logarithm of a hyperbolic matrix.
 
@@ -246,7 +215,7 @@ def hyperbolic_log(h, tol: float = DEFAULT_TOL) -> np.ndarray:
     rounding split is merged into one cluster first, so it meets this
     check too.
     """
-    m = to_complex(as_matrix(h))
+    m = as_matrix(h)
     decomp = spectral_projectors(m, cluster_tol=tol)
     spectrum = decomp.spectrum
     scale = max(spectrum.radius, 1.0)
@@ -271,9 +240,9 @@ def validate_cmjd(g, triple: CmjdTriple, tol: float = DEFAULT_TOL) -> CmjdReport
     unit-modulus spectrum of e and positive-real spectrum of h, each
     compared against tol * max(||g||, 1); cmjd raises on the same checks.
     """
-    m = to_complex(as_matrix(g))
+    m = as_matrix(g)
     e, h, u = triple.elliptic, triple.hyperbolic, triple.unipotent
     if e.shape != m.shape or h.shape != m.shape or u.shape != m.shape:
         raise ValueError("factor dimensions do not match g")
-    return _check_triple(m, to_complex(e), to_complex(h), to_complex(u), tol)
+    return _check_triple(m, as_matrix(e), as_matrix(h), as_matrix(u), tol)
 

@@ -33,10 +33,6 @@ class SumMismatch(KostantError):
     """Totals differ beyond tolerance, so hull membership is moot."""
 
 
-class PreconditionFailed(KostantError):
-    """A documented operation precondition does not hold."""
-
-
 class DimensionCap(KostantError):
     """Representation dimension exceeds the configured cap."""
 
@@ -53,10 +49,6 @@ class IllConditioned(KostantError):
 
 class Singular(KostantError):
     """Matrix is not invertible (or indistinguishable from singular)."""
-
-
-class NotUnipotent(KostantError):
-    """(u - I) fails the nilpotency test."""
 
 
 class NotHyperbolic(KostantError):

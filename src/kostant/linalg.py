@@ -1,9 +1,11 @@
 """Dense complex matrix kernels.
 
 Eigenvalue computation with modulus-relative clustering, the one spectral
-kernel, and the handful of matrix helpers the decomposition layer needs.
-Matrices are plain numpy arrays (complex128); exact-mode inputs use
-object arrays of :class:`fractions.Fraction` or :class:`ComplexRational`.
+kernel, and the two matrix helpers the decomposition layer needs
+(as_matrix, mat_norm). Every matrix is a complex128 numpy array: as_matrix
+converts what it is given. Exact-mode payloads keep their supplied
+eigenvalues as :class:`ComplexRational` scalars, whose rational moduli
+exact_modulus reads.
 
 This is also the one place where a matrix becomes moduli: matrix_moduli
 (clustered eigenvalues) and moduli_from_eigenvalues (supplied
@@ -44,10 +46,8 @@ SINGULARITY_THRESHOLD = 1e-13
 
 
 class ComplexRational:
-    """Gaussian rational a + b*i with Fraction components.
-
-    Supports the ring operations plus division, enough to run the
-    terminating unipotent-log series exactly inside object arrays.
+    """Gaussian rational a + b*i with Fraction components: an exact
+    complex scalar of an exact-mode payload. Supports the field operations.
     """
 
     __slots__ = ("re", "im")
@@ -166,41 +166,17 @@ def exact_modulus(z) -> Fraction | None:
 
 
 def as_matrix(a) -> np.ndarray:
-    """Validate and coerce to a square complex matrix (or object array)."""
+    """Validate and coerce to a square complex128 matrix; object arrays of
+    Fraction or ComplexRational convert entrywise by complex()."""
     arr = np.asarray(a)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if arr.dtype == object:
-        return arr
     return arr.astype(complex)
 
 
-def identity_like(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    if a.dtype == object:
-        eye = np.array([[1 if i == j else 0 for j in range(n)] for i in range(n)],
-                       dtype=object)
-        return eye
-    return np.eye(n, dtype=complex)
-
-
-def to_complex(a: np.ndarray) -> np.ndarray:
-    """Convert an exact object matrix to complex128 (identity on floats)."""
-    arr = as_matrix(a)
-    if arr.dtype != object:
-        return arr
-    out = np.empty(arr.shape, dtype=complex)
-    for i in range(arr.shape[0]):
-        for j in range(arr.shape[1]):
-            out[i, j] = complex(arr[i, j])
-    return out
-
-
-def mat_norm(a, ord="fro") -> float:
-    a = np.asarray(a)
-    if a.dtype == object:
-        return math.sqrt(sum(abs(x) ** 2 for x in a.ravel()))
-    return float(np.linalg.norm(a, ord))
+def mat_norm(a) -> float:
+    """Frobenius norm."""
+    return float(np.linalg.norm(a))
 
 
 # --- spectra and projectors --------------------------------------------------
@@ -279,7 +255,7 @@ class SpectralDecomposition:
 
 
 def _finite(a) -> np.ndarray:
-    m = to_complex(a)
+    m = as_matrix(a)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     return m

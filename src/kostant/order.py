@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import total_ordering
-from itertools import accumulate, permutations
+from itertools import accumulate
 from operator import add, mul, sub
 
 from ._frozen import frozen
@@ -34,7 +34,6 @@ from .errors import (
     NotSeparable,
     OrderHolds,
     Overflow,
-    PreconditionFailed,
     SumMismatch,
 )
 from .symchar import (
@@ -193,35 +192,7 @@ class LogValue:
         return NotImplemented
 
 
-@frozen
-class TopKLevel:
-    k: int
-    sum_margin: float
-    log_product_margin: float
-    ok: bool
-
-
-@frozen
-class TopKReport:
-    spec: RepSpec
-    dimension: int
-    levels: tuple[TopKLevel, ...]
-    final_product_gap: float
-
-    @property
-    def all_ok(self) -> bool:
-        return all(level.ok for level in self.levels)
-
-
 # --- the order -------------------------------------------------------------------
-
-
-def _sorted_values(x) -> tuple:
-    if isinstance(x, LogVector):
-        return x.values
-    if isinstance(x, ModuliVector):
-        return x.values
-    return LogVector.from_values(x).values
 
 
 def _abs_scale(xs, ys) -> float:
@@ -289,8 +260,8 @@ def permutohedron_certificate(x, y):
     failing prefix level. Raises SumMismatch when the totals differ (the
     hull question is then vacuous).
     """
-    lx = x if isinstance(x, LogVector) else LogVector.from_values(_sorted_values(x))
-    ly = y if isinstance(y, LogVector) else LogVector.from_values(_sorted_values(y))
+    lx = x if isinstance(x, LogVector) else LogVector.from_values(x)
+    ly = y if isinstance(y, LogVector) else LogVector.from_values(y)
     if lx.n != ly.n:
         raise LengthMismatch(f"lengths {lx.n} != {ly.n}")
     scale = _abs_scale(lx.values, ly.values)
@@ -361,29 +332,6 @@ def verify_certificate(cert: TTransformCertificate) -> float:
     """Max absolute replay error |T(start) - end|; 0 for exact inputs."""
     replayed = apply_t_transforms(cert.start.values, cert.steps)
     return max(abs(float(a - b)) for a, b in zip(replayed, cert.end.values))
-
-
-def verify_functional(func: SeparatingFunctional, x, y,
-                      exhaustive: bool = False) -> bool:
-    """Check that the top-k functional separates y from the hull of x.
-
-    With exhaustive=True every distinct permutation of x is evaluated
-    (n! vertices; intended for small n); otherwise the hull maximum is
-    the k-th prefix sum of sorted x.
-    """
-    xs, ys = _sorted_values(x), _sorted_values(y)
-    k = func.k
-    value_at_y = sum(ys[:k])
-    if exhaustive:
-        hull_max = max(sum(sorted(p, reverse=True)[:k])
-                       for p in set(permutations(xs)))
-    else:
-        hull_max = sum(xs[:k])
-    margin = value_at_y - hull_max
-    if _is_exact(margin):
-        return margin > 0 and margin == func.margin
-    return margin > 0 and math.isclose(float(margin), float(func.margin),
-                                       rel_tol=1e-9, abs_tol=1e-12)
 
 
 # --- separating representations ----------------------------------------------------
@@ -624,35 +572,3 @@ def _normalize_sl(v: ModuliVector) -> ModuliVector:
         return v
     return v.normalized()
 
-
-def check_topk(x, y, spec: RepSpec, *, cap: int | None = 10 ** 6) -> TopKReport:
-    """Verify top-k product and sum dominance of rep moduli of x over y.
-
-    Precondition: x dominates y in the order (PreconditionFailed
-    otherwise). Margins are reported for every level; product margins in
-    log domain.
-    """
-    xv, yv = _as_moduli(x), _as_moduli(y)
-    verdict = kostant_compare(xv, yv)
-    if verdict.relation not in (GEQ, EQUAL):
-        raise PreconditionFailed(
-            f"x does not dominate y (relation {verdict.relation})")
-    mx = rep_moduli(spec, xv, cap=cap).as_floats()
-    my = rep_moduli(spec, yv, cap=cap).as_floats()
-    logs_x = [math.log(v) for v in mx]
-    logs_y = [math.log(v) for v in my]
-    sum_scale = sum(mx) + sum(my)
-    log_scale = sum(map(abs, logs_x)) + sum(map(abs, logs_y)) + 1.0
-    levels = []
-    sx = sy = lx = ly = 0.0
-    for k in range(len(mx)):
-        sx += mx[k]
-        sy += my[k]
-        lx += logs_x[k]
-        ly += logs_y[k]
-        ok = (sx - sy >= -REL_SLACK * sum_scale
-              and lx - ly >= -REL_SLACK * log_scale)
-        levels.append(TopKLevel(k=k + 1, sum_margin=sx - sy,
-                                log_product_margin=lx - ly, ok=ok))
-    return TopKReport(spec=spec, dimension=len(mx), levels=tuple(levels),
-                      final_product_gap=abs(lx - ly))

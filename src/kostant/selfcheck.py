@@ -4,8 +4,9 @@ Each suite replays a core guarantee on small random inputs with a fixed
 seed: projector algebra, decomposition round trips (a Jordan block
 included), character values against brute-force enumeration, Schur
 weights against Jacobi-Trudi and the hook-content dimension, order
-decisions against the exterior-power radius test, and witness
-construction on non-dominated pairs. The fault-injection flag perturbs
+decisions against the exterior-power radius test, characters of
+dominated pairs against Kostant's Theorem 6.1, and witness construction
+on non-dominated pairs. The fault-injection flag perturbs
 the unipotent factor before validation so the reconstruction check must
 fail (used to test failure plumbing end to end).
 """
@@ -35,6 +36,8 @@ from .symchar import (
     ModuliVector,
     Partition,
     Schur,
+    Sym,
+    abs_character,
     complete_homogeneous,
     elementary,
     rep_dim,
@@ -185,6 +188,12 @@ def _suite_order(rng) -> SuiteResult:
             return SuiteResult("order", False,
                                f"radius test disagrees on {x.values} vs {y.values}")
         if verdict.relation in (GEQ, EQUAL):
+            # Kostant's Theorem 6.1: the character of x bounds that of y
+            for spec in (Sym(2), Schur(Partition((2, 1)))):
+                if float(abs_character(spec, x)) < \
+                        float(abs_character(spec, y)) * (1 - 1e-9):
+                    return SuiteResult("order", False,
+                                       f"|chi_{spec}| of a dominated pair decreased")
             cert = permutohedron_certificate(
                 [math.log(v) for v in x.values],
                 [math.log(v) for v in y.values])
@@ -193,7 +202,8 @@ def _suite_order(rng) -> SuiteResult:
                                    "dominated pair produced a separating functional")
             if verify_certificate(cert) > 1e-12:
                 return SuiteResult("order", False, "certificate replay failed")
-    return SuiteResult("order", True, "radius test and certificates agree")
+    return SuiteResult("order", True,
+                       "radius test, characters and certificates agree")
 
 
 def _suite_witness(rng) -> SuiteResult:

@@ -15,6 +15,9 @@ is written as {"log": float} too. Rep specs:
     {"sym": m} | {"ext": k} | {"schur": [parts...]} | {"tensor": [a, b]}
     | {"dsum": [specs...]} | {"compose": {"outer": spec, "inner": spec}}
 
+"values", "schur", "tensor" and "dsum" take JSON lists, and m, k and the
+Schur parts JSON integers (not booleans); other types raise ParseError.
+
 Serialization keeps a fixed field order and shortest round-trip float
 formatting (Python's repr), so identical inputs produce byte-identical
 reports. numpy and the matrix layers (cmjd, linalg) are imported by the
@@ -69,10 +72,12 @@ class MatrixInput:
 
 
 def parse_scalar(value, exact: bool):
-    """Number -> float (an int -> Fraction in exact mode); "p/q" string ->
-    Fraction in either mode."""
+    """Finite number -> float (an int -> Fraction in exact mode); "p/q"
+    string -> Fraction in either mode."""
     if isinstance(value, bool):
         raise ParseError(f"expected a numeric scalar, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ParseError(f"expected a finite number, got {value!r}")
     if isinstance(value, (int, float)):
         return Fraction(value) if exact and isinstance(value, int) else float(value)
     if isinstance(value, str):
@@ -165,8 +170,8 @@ def matrix_to_json(m) -> dict:
 
 
 def parse_moduli(obj, exact: bool = False) -> ModuliVector:
-    if not isinstance(obj, dict) or "values" not in obj:
-        raise ParseError("moduli JSON must be an object with a 'values' field")
+    if not isinstance(obj, dict) or not isinstance(obj.get("values"), list):
+        raise ParseError("moduli JSON must be an object with a 'values' list")
     values = [parse_scalar(v, exact) for v in obj["values"]]
     if not values:
         raise ParseError("moduli values must be nonempty")
@@ -180,16 +185,24 @@ def moduli_to_json(v: ModuliVector) -> dict:
 # --- rep specs ----------------------------------------------------------------------
 
 
+def _parse_int(value, what: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ParseError(f"{what} takes an integer, got {value!r}")
+
+
 def parse_repspec(obj) -> RepSpec:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ParseError(f"rep spec must be a single-key object, got {obj!r}")
     (key, value), = obj.items()
     if key == "sym":
-        return Sym(int(value))
+        return Sym(_parse_int(value, "sym"))
     if key == "ext":
-        return Ext(int(value))
+        return Ext(_parse_int(value, "ext"))
     if key == "schur":
-        return Schur(Partition(tuple(int(p) for p in value)))
+        if not isinstance(value, list):
+            raise ParseError("schur takes a list of parts")
+        return Schur(Partition(tuple(_parse_int(p, "a schur part") for p in value)))
     if key == "tensor":
         if not isinstance(value, list) or len(value) != 2:
             raise ParseError("tensor takes a two-element list")

@@ -15,8 +15,8 @@ four _Algebras.
 The input is a ModuliVector (linalg.matrix_moduli turns a matrix into
 one); nothing here needs a matrix library. Evaluation is exact over
 Fractions when the input moduli are rational.
-Schur weights and kostka_number count Gelfand-Tsetlin patterns, one row
-at a time (_interlacing); Schur values come from Jacobi-Trudi.
+Schur weights are read off Gelfand-Tsetlin patterns, one row at a time
+(_interlacing); Schur values come from Jacobi-Trudi.
 Every float h_m (complete homogeneous) value, its logarithm, the float
 Jacobi-Trudi entries of schur and the degree scan in order come from one
 recurrence, _h_scan: it runs on the moduli divided by the largest, so
@@ -391,25 +391,6 @@ def _interlacing(mu: tuple[int, ...], rows: int):
     for nu in product(*(range(below[i], mu[i] + 1)
                         for i in range(min(len(mu), rows)))):
         yield tuple(p for p in nu if p)
-
-
-def kostka_number(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
-    """Number of semistandard tableaux of the shape with the given content.
-
-    Content may be any composition; the count only depends on its sorted
-    order. The largest entry, which appears c = content[-1] times, fills a
-    horizontal strip, so the count is the sum over the nu interlacing the
-    shape with |shape| - |nu| = c of the count for nu and content[:-1].
-    """
-    shape = tuple(p for p in shape if p > 0)
-    content = tuple(c for c in content if c > 0)
-    if sum(shape) != sum(content):
-        return 0
-    if not shape:
-        return 1
-    rest = content[:-1]
-    return sum(kostka_number(nu, rest) for nu in _interlacing(shape, len(rest))
-               if sum(nu) == sum(rest))
 
 
 def _schur_moduli(shape: Partition, x: ModuliVector) -> list:

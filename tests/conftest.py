@@ -47,22 +47,6 @@ def random_sl(rng, n: int, cond_cap: float = 1e6) -> np.ndarray:
     return g / det ** (1.0 / n)
 
 
-def random_unipotent(rng, n: int, scale: float = 0.5) -> np.ndarray:
-    u = np.eye(n, dtype=complex)
-    upper = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    u += scale * np.triu(upper, k=1)
-    return u
-
-
-def random_unipotent_exact(rng, n: int) -> np.ndarray:
-    u = np.array([[Fraction(1 if i == j else 0) for j in range(n)]
-                  for i in range(n)], dtype=object)
-    for i in range(n):
-        for j in range(i + 1, n):
-            u[i, j] = Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
-    return u
-
-
 def random_unitary(rng, n: int) -> np.ndarray:
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(g)
@@ -150,10 +134,6 @@ def brute_force_h(m: int, values) -> Fraction:
     return total
 
 
-def monomial_count(m: int, n: int) -> int:
-    return sum(1 for _ in combinations_with_replacement(range(n), m))
-
-
 def enumerate_ssyt(shape: tuple[int, ...], n: int):
     """All semistandard tableaux of the shape with entries in 1..n."""
     rows = len(shape)
@@ -192,6 +172,18 @@ def brute_force_schur(shape: tuple[int, ...], values) -> Fraction:
     return total
 
 
+def verify_functional(func, x, y) -> bool:
+    """Check that the top-k functional func separates y from the
+    permutation hull of x by the margin it states, evaluating it on every
+    vertex of the hull (n! permutations of x; small n only)."""
+    xs = sorted(x, reverse=True)
+    k = func.k
+    value_at_y = sum(sorted(y, reverse=True)[:k])
+    hull_max = max(sum(sorted(p, reverse=True)[:k]) for p in set(permutations(xs)))
+    margin = value_at_y - hull_max
+    return margin > 0 and margin == func.margin
+
+
 def hull_member_oracle(x_logs, y_logs) -> bool:
     """Exact LP-free membership of y in conv(all permutations of x).
 
@@ -205,11 +197,7 @@ def hull_member_oracle(x_logs, y_logs) -> bool:
     ys = sorted(y_logs, reverse=True)
     result = permutohedron_certificate(xs, ys)
     if isinstance(result, SeparatingFunctional):
-        k = result.k
-        value_at_y = sum(ys[:k])
-        hull_max = max(sum(sorted(p, reverse=True)[:k])
-                       for p in set(permutations(xs)))
-        assert value_at_y - hull_max > 0, "separating functional is invalid"
+        assert verify_functional(result, xs, ys), "separating functional is invalid"
         return False
     replayed = apply_t_transforms(result.start.values, result.steps)
     assert list(replayed) == list(ys), "certificate replay failed"

@@ -1,7 +1,6 @@
-"""Tests for the multiplicative decomposition and its logarithms."""
+"""Tests for the multiplicative decomposition and the hyperbolic logarithm."""
 
 import importlib
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,13 +13,11 @@ from kostant import (
     IllConditioned,
     KostantError,
     NotHyperbolic,
-    NotUnipotent,
     Singular,
     cmjd,
     hyperbolic_log,
     mat_norm,
     spectral_projectors,
-    unipotent_log,
     validate_cmjd,
 )
 import kostant.linalg
@@ -29,8 +26,6 @@ from conftest import (
     jordan_direct_sum,
     random_invertible,
     random_sl,
-    random_unipotent,
-    random_unipotent_exact,
     random_unitary,
 )
 
@@ -119,9 +114,7 @@ class TestCmjdProperties:
             n = int(rng.integers(2, 6))
             g = random_sl(rng, n)
             t = cmjd(g)
-            u, h = t.unipotent, t.hyperbolic
-            assert mat_norm(expm(unipotent_log(u)) - u) <= 1e-9 * max(
-                mat_norm(u), 1.0)
+            h = t.hyperbolic
             assert mat_norm(expm(hyperbolic_log(h)) - h) <= 1e-9 * max(
                 mat_norm(h), 1.0)
 
@@ -344,43 +337,6 @@ class TestProvenSpectra:
             report = validate_cmjd(g, t)
             assert own.residuals == report.residuals
             assert own.passed and report.passed
-
-
-class TestUnipotentLog:
-    def test_identity(self):
-        assert np.allclose(unipotent_log(np.eye(3)), np.zeros((3, 3)))
-
-    def test_single_term_series(self):
-        u = np.array([[1.0, 1.0], [0.0, 1.0]])
-        assert np.allclose(unipotent_log(u), [[0.0, 1.0], [0.0, 0.0]])
-
-    def test_two_term_series_roundtrip(self):
-        u = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 4.0], [0.0, 0.0, 1.0]])
-        y = unipotent_log(u)
-        assert np.allclose(expm(y), u)
-        assert np.allclose(np.linalg.matrix_power(y, 3), 0)
-
-    def test_exact_mode_nilpotency(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(2, 6))
-            u = random_unipotent_exact(rng, n)
-            y = unipotent_log(u)
-            power = np.array([[Fraction(1 if i == j else 0) for j in range(n)]
-                              for i in range(n)], dtype=object)
-            for _ in range(n):
-                power = power @ y
-            assert all(v == 0 for v in power.ravel())
-
-    def test_random_roundtrip(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(2, 9))
-            u = random_unipotent(rng, n)
-            y = unipotent_log(u)
-            assert mat_norm(expm(y) - u) <= 1e-10 * max(mat_norm(u), 1.0)
-
-    def test_not_unipotent_raises(self):
-        with pytest.raises(NotUnipotent):
-            unipotent_log(np.diag([2.0, 1.0]))
 
 
 class TestHyperbolicLog:

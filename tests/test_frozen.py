@@ -19,8 +19,6 @@ from kostant.order import (
     OrderVerdict,
     SeparatingFunctional,
     SeparatingWitness,
-    TopKLevel,
-    TopKReport,
     TTransformCertificate,
     _LogRatio,
 )
@@ -39,7 +37,6 @@ from kostant.symchar import (
 
 LOGS = LogVector((1.0, -1.0))
 SPECTRUM = Spectrum(clusters=((2j, 1), (0.5, 1)), cluster_tol=1e-8)
-LEVEL = TopKLevel(k=1, sum_margin=0.5, log_product_margin=0.25, ok=True)
 
 # each value type, with its repr as dataclasses wrote it
 VALUES = [
@@ -50,7 +47,9 @@ VALUES = [
     (Ext(1), "Ext(k=1)"),
     (Schur(Partition((2, 1))), "Schur(shape=Partition(parts=(2, 1)))"),
     (Tensor(Sym(1), Ext(2)), "Tensor(left=Sym(m=1), right=Ext(k=2))"),
-    (DirectSum((Sym(0), Ext(0))), "DirectSum(parts=(Sym(m=0), Ext(k=0)))"),
+    # value types in a tuple field, nested two deep
+    (DirectSum((Sym(0), Compose(Sym(1), Ext(0)))),
+     "DirectSum(parts=(Sym(m=0), Compose(outer=Sym(m=1), inner=Ext(k=0))))"),
     (Compose(outer=Sym(m=2), inner=Ext(k=1)),
      "Compose(outer=Sym(m=2), inner=Ext(k=1))"),
     (LOGS, "LogVector(values=(1.0, -1.0))"),
@@ -66,10 +65,6 @@ VALUES = [
      "SeparatingWitness(k=1, m=1, spec=Compose(outer=Sym(m=1), inner=Ext(k=1)), "
      "chi_1=Fraction(5, 2), chi_2=LogValue(log=1.5), paper_bound_m=7, dimension=2)"),
     (LogValue(800.0), "LogValue(log=800.0)"),
-    (LEVEL, "TopKLevel(k=1, sum_margin=0.5, log_product_margin=0.25, ok=True)"),
-    (TopKReport(spec=Sym(1), dimension=2, levels=(LEVEL,), final_product_gap=0.0),
-     "TopKReport(spec=Sym(m=1), dimension=2, levels=(TopKLevel(k=1, sum_margin=0.5, "
-     "log_product_margin=0.25, ok=True),), final_product_gap=0.0)"),
     (_LogRatio.of(Fraction(3), Fraction(2)),
      "_LogRatio(ratio=Fraction(3, 2), log=0.4054651081081644, "
      "magnitude=0.4054651081081644)"),

@@ -1,8 +1,11 @@
 """Tests for the dense complex kernels."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kostant import (
@@ -11,9 +14,11 @@ from kostant import (
     mat_norm,
     spectral_projectors,
 )
-from kostant.linalg import ComplexRational, _clusters, to_complex
+from kostant.linalg import ComplexRational, _clusters, as_matrix
 
 from conftest import jordan_direct_sum, random_invertible, random_unitary
+
+FRACTIONS = st.fractions(min_value=-10 ** 6, max_value=10 ** 6)
 
 
 def cluster_dict(spectrum, digits=6):
@@ -216,7 +221,6 @@ class TestSpectralProjectors:
 
 class TestComplexRational:
     def test_field_ops(self):
-        from fractions import Fraction
         a = ComplexRational(Fraction(1, 2), Fraction(3))
         b = ComplexRational(Fraction(2), Fraction(-1))
         assert (a * b).re == Fraction(4)
@@ -225,9 +229,17 @@ class TestComplexRational:
         assert a.modulus_squared() == Fraction(37, 4)
         assert complex(a) == 0.5 + 3j
 
-    def test_object_matrix_roundtrip(self):
-        a = np.array([[ComplexRational(1, 1), ComplexRational(0, 0)],
-                      [ComplexRational(0, 0), ComplexRational(2, 0)]],
-                     dtype=object)
-        c = to_complex(a)
-        assert c.dtype == complex and c[0, 0] == 1 + 1j
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.one_of(FRACTIONS, st.builds(ComplexRational, FRACTIONS, FRACTIONS)),
+        min_size=n * n, max_size=n * n)))
+    @example([Fraction(1, 3), ComplexRational(1, Fraction(-2, 7)), Fraction(5),
+              ComplexRational(0, 0)])
+    def test_object_matrix_roundtrip(self, entries):
+        # as_matrix converts an exact object matrix entrywise by complex()
+        n = math.isqrt(len(entries))
+        a = np.empty((n, n), dtype=object)
+        a.ravel()[:] = entries
+        c = as_matrix(a)
+        assert c.dtype == complex
+        assert c.tolist() == [[complex(e) for e in row] for row in a.tolist()]
