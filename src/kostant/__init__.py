@@ -8,8 +8,8 @@ separates the two elements, together with machine-checkable certificates
 for both outcomes.
 
 Importing the package loads the moduli layers (symchar, order) only: the
-matrix exports of cmjd and linalg, and numpy and scipy with them, load on
-first use.
+matrix exports of cmjd and linalg, and numpy and scipy's LAPACK extension
+with them, load on first use.
 """
 
 import importlib

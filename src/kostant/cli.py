@@ -8,8 +8,8 @@ order holds when a witness was requested / not a hull member), 2 input
 error (an unwritable --out included), 3 numerical failure (an internal check that fails, such as a stalled
 T-transform chain, included).
 
-The matrix layers (cmjd, linalg, and numpy and scipy with them) and the
-self-check suites are imported by the handlers that use them, so a
+The matrix layers (cmjd, linalg, and numpy and scipy's LAPACK extension)
+and the self-check suites are imported by the handlers that use them, so a
 subcommand on moduli input starts without them.
 """
 

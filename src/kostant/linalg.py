@@ -23,20 +23,52 @@ back-substitution when every cluster is a single eigenvalue, otherwise
 by reordering and Sylvester decoupling (Bavely & Stewart, SIAM J.
 Numer. Anal. 16, 1979). Then f(g) = sum_i f(z_i) P_i is the one product
 (V f) W.
+
+LAPACK comes from scipy's f2py extension scipy.linalg._flapack, loaded
+from its file: zgees (the Schur form), ztrtrs (W from the eigenvector
+matrix X), ztrsen (reordering) and ztrsyl (Sylvester decoupling). The
+scipy.linalg package is not imported: it costs about 0.28 s at start-up,
+0.2 s of it scipy's array-API layer, which imports every numpy submodule;
+the extension alone loads in a few milliseconds. Each routine is called
+as scipy.linalg.schur and solve_triangular call it, workspace query
+included, so the results are bit-for-bit theirs, and every info is checked.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import ztrsen, ztrsyl
 
 from ._frozen import frozen
 from .errors import IllConditioned, NonConvergence
 from .symchar import ModuliVector
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK extension, run from its file under its own name
+    scipy.linalg._flapack; neither scipy nor scipy.linalg is imported. A
+    later ``import scipy.linalg`` finds this module in sys.modules."""
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        "scipy.linalg._flapack",
+        [os.path.join(path, "linalg") for path in scipy.submodule_search_locations])
+    if spec is None:
+        raise ImportError("kostant.linalg needs scipy's LAPACK extension "
+                          "scipy.linalg._flapack")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+zgees, ztrtrs, ztrsen, ztrsyl = (_flapack.zgees, _flapack.ztrtrs,
+                                 _flapack.ztrsen, _flapack.ztrsyl)
+del _flapack
 
 DEFAULT_CLUSTER_TOL = 1e-8
 MERGE_RADIUS = 1e-3
@@ -350,18 +382,16 @@ def spectral_projectors(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectral
     gathers each cluster into a contiguous block and ztrsyl decouples
     each block from the trailing part (Bavely & Stewart, SIAM J. Numer.
     Anal. 16, 1979). Raises NonConvergence when the Schur form fails, and
-    IllConditioned when a reordering selects the wrong count, a Sylvester
-    equation is singular, or a projector's Frobenius norm exceeds
-    PROJECTOR_NORM_CAP (clusters too close for the tolerance).
+    IllConditioned when the triangular solve for W fails, a reordering
+    selects the wrong count, a Sylvester equation is singular, or a
+    projector's Frobenius norm exceeds PROJECTOR_NORM_CAP (clusters too
+    close for the tolerance).
     """
     if cluster_tol < 0:
         raise ValueError("cluster_tol must be nonnegative")
     m = _finite(a)
     n = m.shape[0]
-    try:
-        t, z = sla.schur(m, output="complex")
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(str(exc)) from exc
+    t, z = _schur(m)
     diag = np.diag(t)
     thr = _threshold(diag, cluster_tol)
     groups = _clusters(diag, thr)
@@ -411,6 +441,20 @@ def spectral_projectors(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectral
     return _assemble(m, v, w, d, blocks, values, cluster_tol)
 
 
+def _no_sort(_):
+    return None
+
+
+def _schur(m) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form m = Z T Z*, returned as (T, Z): zgees with the
+    optimal workspace from its query, as scipy.linalg.schur calls it."""
+    lwork = int(zgees(_no_sort, m, lwork=-1)[-2][0].real)
+    t, _, _, z, _, info = zgees(_no_sort, m, lwork=lwork)
+    if info != 0:
+        raise NonConvergence("Schur form not found. Possibly ill-conditioned.")
+    return t, z
+
+
 def _simple_decomposition(m, t, z, cluster_tol) -> SpectralDecomposition:
     """Every eigenvalue its own cluster: T X = X diag(T) with X unit upper
     triangular, X[i, j] = sum_{k>i} T[i, k] X[k, j] / (T[j, j] - T[i, i])."""
@@ -420,7 +464,10 @@ def _simple_decomposition(m, t, z, cluster_tol) -> SpectralDecomposition:
     for i in range(n - 2, -1, -1):
         x[i, i + 1:] = (t[i, i + 1:] @ x[i + 1:, i + 1:]) / (diag[i + 1:] - diag[i])
     v = z @ x
-    w = sla.solve_triangular(x, z.conj().T, unit_diagonal=True, check_finite=False)
+    # X^-1 Z* from X^T, as solve_triangular hands a C-ordered X to ztrtrs
+    w, info = ztrtrs(x.T, z.conj().T, lower=1, trans=1, unitdiag=1)
+    if info != 0:
+        raise IllConditioned(f"triangular solve for W failed (ztrtrs info {info})")
     blocks = [slice(p, p + 1) for p in range(n)]
     return _assemble(m, v, w, np.diag(diag), blocks, diag, cluster_tol)
 

@@ -138,7 +138,7 @@ def parse_matrix(obj, exact: bool = False) -> MatrixInput:
     entries = obj["entries"]
     if not isinstance(entries, list) or not entries:
         raise ParseError("matrix entries must be a nonempty list of rows")
-    n = obj.get("n", len(entries))
+    n = _parse_int(obj["n"], "matrix n") if "n" in obj else len(entries)
     if len(entries) != n or any(not isinstance(r, list) or len(r) != n
                                 for r in entries):
         raise ParseError(f"matrix entries must form an {n} x {n} array")

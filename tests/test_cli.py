@@ -103,11 +103,13 @@ def test_unwritable_out_is_an_input_error(inputs, tmp_path, capsys):
     ("spec", {"schur": [2, False]}),
     ("spec", {"compose": {"outer": {"sym": 2.0}, "inner": {"ext": 1}}}),
     ("spec", {"tensor": {"sym": 1}}),
+    ("g", {"n": True, "entries": [[2]]}),
+    ("g", {"n": 1.0, "entries": [[2]]}),
 ])
 def test_malformed_payloads_are_parse_errors(key, payload, inputs, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
-    command = "order" if key == "x" else "char"
+    command = {"x": "order", "spec": "char", "g": "decompose"}[key]
     code, report = run_json(commands({**inputs, key: str(path)})[command], capsys)
     assert (code, report["error"]) == (2, "ParseError")
 
@@ -293,10 +295,19 @@ def test_matrix_subcommands_in_a_fresh_interpreter(tmp_path, capsys):
     argvs = [["decompose", "--g", g], ["order", "--g1", g, "--g2", g],
              ["order", "--exact", "--g1", g, "--g2", g]]
     results, loaded = main_in_fresh_interpreter(argvs)
-    assert {"numpy", "scipy", "kostant.cmjd", "kostant.linalg"} <= set(loaded)
+    assert {"numpy", "kostant.cmjd", "kostant.linalg"} <= set(loaded)
+    # kostant.linalg loads scipy's LAPACK extension, not the scipy.linalg package
+    assert not {"scipy.linalg", "scipy._lib._array_api"} & set(loaded)
     for argv, result in zip(argvs, results):
         assert result == (main(argv), capsys.readouterr().out)
     assert [code for code, _ in results] == [0, 0, 0]
+
+
+def test_scipy_linalg_imported_later_shares_the_lapack_extension():
+    out = fresh("import kostant.linalg as ours\n"
+                "import scipy.linalg.lapack as lapack\n"
+                "print(ours.zgees is lapack.zgees, ours.ztrsen is lapack.ztrsen)\n")
+    assert out.split() == ["True", "True"]
 
 
 def test_every_export_resolves():

@@ -3,7 +3,8 @@ matrix code, and symchar reads a rep spec tree in one walk. The package,
 the CLI and serialize import matrix code only inside the functions that
 use it, so importing them loads neither numpy nor scipy. Checked on the
 source with ast, and for the moduli layers also on sys.modules in a fresh
-interpreter. No module imports dataclasses (kostant._frozen stands in).
+interpreter. No module imports dataclasses (kostant._frozen stands in) or
+scipy.linalg (kostant.linalg loads scipy's LAPACK extension alone).
 Every package export is used by some other part of the package, and every
 lazy export names a definition in its module."""
 
@@ -69,6 +70,15 @@ def test_front_modules_import_matrix_code_in_functions_only(module):
 def test_no_module_imports_dataclasses(path):
     # its import loads inspect, and each dataclass costs six execs at start-up
     assert "dataclasses" not in imported_modules(path)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy_linalg(path):
+    # the package import costs about 0.28 s, most of it scipy's array-API
+    # layer; kostant.linalg loads the LAPACK extension alone
+    bad = [name for name in imported_modules(path)
+           if name == "scipy.linalg" or name.startswith("scipy.linalg.")]
+    assert bad == []
 
 
 @pytest.mark.parametrize("module", ["kostant.order", "kostant.serialize"])

@@ -1,20 +1,25 @@
 """Tests for the dense complex kernels."""
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kostant.linalg
 from kostant import (
     IllConditioned,
+    NonConvergence,
     eigen_spectrum,
     mat_norm,
     spectral_projectors,
 )
-from kostant.linalg import ComplexRational, _clusters, as_matrix
+from kostant.cli import main
+from kostant.linalg import ComplexRational, _clusters, _schur, as_matrix
 
 from conftest import jordan_direct_sum, random_invertible, random_unitary
 
@@ -217,6 +222,47 @@ class TestSpectralProjectors:
         expected = sum(c * p for c, p in zip(coeffs, d.projectors))
         assert mat_norm(d.combine(coeffs) - expected) <= 1e-10 * mat_norm(expected)
         assert mat_norm(d.combine(d.spectrum.values) - a) <= 1e-8 * mat_norm(a)
+
+
+class TestLapackCalls:
+    """kostant.linalg calls scipy's LAPACK extension as scipy.linalg's
+    schur and solve_triangular call it, and checks every info."""
+
+    def test_bit_for_bit_with_scipy_linalg(self, rng):
+        for n in (1, 2, 7, 33):
+            m = as_matrix(random_invertible(rng, n))
+            t, z = _schur(m)
+            want_t, want_z = scipy.linalg.schur(m, output="complex")
+            assert np.array_equal(t, want_t) and np.array_equal(z, want_z)
+            x = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 1)
+            x += np.eye(n)
+            w, info = kostant.linalg.ztrtrs(x.T, z.conj().T, lower=1, trans=1,
+                                            unitdiag=1)
+            want_w = scipy.linalg.solve_triangular(x, z.conj().T, unit_diagonal=True)
+            assert info == 0 and np.array_equal(w, want_w)
+
+    def test_schur_failure_is_nonconvergence(self, monkeypatch, tmp_path, capsys):
+        real = kostant.linalg.zgees
+
+        def failing(*args, **kwargs):
+            *out, _ = real(*args, **kwargs)
+            return (*out, 1)  # the QR algorithm failed at eigenvalue 1
+
+        monkeypatch.setattr(kostant.linalg, "zgees", failing)
+        with pytest.raises(NonConvergence, match="Schur form not found"):
+            spectral_projectors(np.diag([2.0, 0.5]))
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"entries": [[2, 1], [0, 0.5]]}))
+        assert main(["decompose", "--g", str(path)]) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == "NonConvergence"
+
+    @pytest.mark.parametrize("info", [1, -2])
+    def test_triangular_solve_failure_raises(self, info, monkeypatch, rng):
+        real = kostant.linalg.ztrtrs
+        monkeypatch.setattr(kostant.linalg, "ztrtrs",
+                            lambda *args, **kwargs: (real(*args, **kwargs)[0], info))
+        with pytest.raises(IllConditioned, match=f"ztrtrs info {info}"):
+            spectral_projectors(random_invertible(rng, 4))
 
 
 class TestComplexRational:
