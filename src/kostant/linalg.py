@@ -1,28 +1,27 @@
 """Dense complex matrix kernels.
 
-Eigenvalue computation with modulus-relative clustering, the one spectral
-kernel, and the two matrix helpers the decomposition layer needs
-(as_matrix, mat_norm). Every matrix is a complex128 numpy array: as_matrix
-converts what it is given. Exact-mode payloads keep their supplied
-eigenvalues as :class:`ComplexRational` scalars, whose rational moduli
-exact_modulus reads.
+The one spectral kernel, spectral_projectors, and the two matrix helpers
+the decomposition layer needs (as_matrix, mat_norm). Every matrix is a
+complex128 numpy array: as_matrix converts what it is given. Exact-mode
+payloads keep their supplied eigenvalues as :class:`ComplexRational`
+scalars, whose rational moduli exact_modulus reads.
 
 This is also the one place where a matrix becomes moduli: matrix_moduli
-(clustered eigenvalues) and moduli_from_eigenvalues (supplied
-eigenvalues, exact when their moduli are rational) hand the order and
-character layers a symchar.ModuliVector, and nothing more.
+(the moduli of the kernel's clusters) and moduli_from_eigenvalues
+(supplied eigenvalues, exact when their moduli are rational) hand the
+order and character layers a symchar.ModuliVector, and nothing more.
 
 No Jordan basis is ever formed. Each matrix gets one factorization, its
 complex Schur form, and ``spectral_projectors`` clusters the eigenvalues
-on its diagonal, with the rule ``eigen_spectrum`` applies to the
-eigenvalues of ``matrix_moduli``. Clusters that rounding split off one
-defective eigenvalue (closer than MERGE_RADIUS, and nilpotent about
-their mean up to rounding) are merged back. From that form it block-diagonalizes
-g = V T W with W = V^-1, one block per cluster: by one triangular
-back-substitution when every cluster is a single eigenvalue, otherwise
-by reordering and Sylvester decoupling (Bavely & Stewart, SIAM J.
-Numer. Anal. 16, 1979). Then f(g) = sum_i f(z_i) P_i is the one product
-(V f) W.
+on its diagonal; clusters that rounding split off one defective
+eigenvalue (closer than MERGE_RADIUS, and nilpotent about their mean up
+to rounding) are merged back. Every spectrum of a matrix, decompose's
+and matrix_moduli's alike, is these clusters. From that form it
+block-diagonalizes g = V T W with W = V^-1, one block per cluster: by
+one triangular back-substitution when every cluster is a single
+eigenvalue, otherwise by reordering and Sylvester decoupling (Bavely &
+Stewart, SIAM J. Numer. Anal. 16, 1979). Then f(g) = sum_i f(z_i) P_i
+is the one product (V f) W.
 
 LAPACK comes from scipy's f2py extension scipy.linalg._flapack, loaded
 from its file: zgees (the Schur form), ztrtrs (W from the eigenvector
@@ -286,13 +285,6 @@ class SpectralDecomposition:
         return (self.v * f) @ self.w
 
 
-def _finite(a) -> np.ndarray:
-    m = as_matrix(a)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
-    return m
-
-
 def _threshold(values: np.ndarray, rel: float) -> float:
     """rel times the largest modulus among values (times 1 if all vanish)."""
     scale = float(np.max(np.abs(values)))
@@ -332,39 +324,24 @@ def _clusters(values: np.ndarray, thr: float) -> list[list[int]]:
     return list(groups.values())
 
 
+# a name of its own: perfbench/tracing.py wraps kostant.linalg.eigen_spectrum
+# by name, so the benchmark's --trace 1 runs need it
 def eigen_spectrum(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
-    """All eigenvalues of a, with near-coincident values merged.
-
-    Eigenvalues whose distance is at most cluster_tol relative to the
-    spectral radius are merged into one cluster; the cluster value is the
-    mean of its members. Merging repeats until all cluster values are
-    separated by more than the threshold.
-    """
-    if cluster_tol < 0:
-        raise ValueError("cluster_tol must be nonnegative")
-    m = _finite(a)
-    try:
-        vals = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:  # QR iteration budget exhausted
-        raise NonConvergence(str(exc)) from exc
-    items = vals.tolist()
-    groups = _clusters(vals, _threshold(vals, cluster_tol))
-    clusters = sorted(
-        ((sum(items[k] for k in g) / len(g), len(g)) for g in groups),
-        key=lambda c: (-abs(c[0]), -c[0].real, -c[0].imag),
-    )
-    return Spectrum(clusters=tuple(clusters), cluster_tol=cluster_tol)
+    """The clustered eigenvalues of a, as spectral_projectors finds them."""
+    return spectral_projectors(a, cluster_tol).spectrum
 
 
 def spectral_projectors(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralDecomposition:
     """Block-diagonalize a along its eigenvalue clusters, from one Schur form.
 
     The complex Schur form a = Z T Z* is the only factorization. Its
-    diagonal is clustered by the rule of eigen_spectrum. Rounding splits
-    a j x j Jordan block into j eigenvalues about eps^(1/j) apart, so
-    clusters whose means lie within MERGE_RADIUS (relative to the
-    spectral radius) are then merged into one block, after the blocking
-    of Davies & Higham (SIAM J. Matrix Anal. Appl. 25, 2003). A merge
+    diagonal is clustered by single linkage on means (_clusters): groups
+    whose means lie within cluster_tol times the spectral radius merge,
+    until every two means are farther apart. Rounding splits a j x j
+    Jordan block into j eigenvalues about eps^(1/j) apart, so clusters
+    whose means lie within MERGE_RADIUS (relative to the spectral
+    radius) are then merged into one block, after the blocking of
+    Davies & Higham (SIAM J. Matrix Anal. Appl. 25, 2003). A merge
     holds only when rounding explains the split: the block minus its
     mean mu = trace / j is nilpotent up to a backward error of
     MERGE_ROUNDING ||T||_F, to first order
@@ -389,7 +366,9 @@ def spectral_projectors(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectral
     """
     if cluster_tol < 0:
         raise ValueError("cluster_tol must be nonnegative")
-    m = _finite(a)
+    m = as_matrix(a)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix has non-finite entries")
     n = m.shape[0]
     t, z = _schur(m)
     diag = np.diag(t)
@@ -541,7 +520,10 @@ def _assemble(m, v, w, d, blocks, values, cluster_tol) -> SpectralDecomposition:
 def matrix_moduli(g, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> ModuliVector:
     """Eigenvalue moduli of a matrix, sorted non-increasing.
 
-    These are exactly the eigenvalues of the hyperbolic factor of g.
+    They are the moduli of the clusters of spectral_projectors, the
+    blocks cmjd decomposes along (a Jordan block's eigenvalues merged
+    into one), so they are exactly the eigenvalues of the hyperbolic
+    factor of g.
     """
     spectrum = eigen_spectrum(g, cluster_tol)
     return ModuliVector.from_values(spectrum.moduli())

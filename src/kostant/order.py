@@ -232,7 +232,10 @@ def _normalized_prefix_comparisons(xv: ModuliVector, yv: ModuliVector) -> list[i
     Comparing P_k(x) / P(x)^(k/n) against the same for y, with P(x) the
     product of all moduli, is done on running products of x_i^n / P(x)
     (exact mode; P_k(x)^n / P(x)^k) or on running sums of centered logs
-    (float).
+    (float). The float tie band also covers the rounding of centering,
+    gamma_(n+1) sum |log| with gamma_k = k u / (1 - k u), u = 2^-53
+    (Higham, ch. 3), all that a scalar vector centers to; sum |log| is
+    bounded by sum |centered log| + n |mean|, which needs no more passes.
     """
     n = xv.n
     if xv.exact and yv.exact:
@@ -244,8 +247,10 @@ def _normalized_prefix_comparisons(xv: ModuliVector, yv: ModuliVector) -> list[i
     mean_y = sum(ly) / n
     cx = [v - mean_x for v in lx]
     cy = [v - mean_y for v in ly]
-    scale = sum(map(abs, cx)) + sum(map(abs, cy)) or 1.0
-    return _prefix_cmp(cx[:-1], cy[:-1], scale)
+    spread = sum(map(abs, cx)) + sum(map(abs, cy))
+    ku = (n + 1) * 2.0 ** -53
+    rounding = ku / (1 - ku) * (spread + n * (abs(mean_x) + abs(mean_y)))
+    return _prefix_cmp(cx[:-1], cy[:-1], spread + rounding / REL_SLACK or 1.0)
 
 
 # --- permutohedron certificates ---------------------------------------------------

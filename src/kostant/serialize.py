@@ -71,6 +71,14 @@ class MatrixInput:
 # --- scalar parsing -----------------------------------------------------------
 
 
+def _float(value) -> float:
+    """float(value), with a number past float range a ParseError."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ParseError("number beyond float range") from exc
+
+
 def parse_scalar(value, exact: bool):
     """Finite number -> float (an int -> Fraction in exact mode); "p/q"
     string -> Fraction in either mode."""
@@ -79,7 +87,7 @@ def parse_scalar(value, exact: bool):
     if isinstance(value, float) and not math.isfinite(value):
         raise ParseError(f"expected a finite number, got {value!r}")
     if isinstance(value, (int, float)):
-        return Fraction(value) if exact and isinstance(value, int) else float(value)
+        return Fraction(value) if exact and isinstance(value, int) else _float(value)
     if isinstance(value, str):
         try:
             return Fraction(value)
@@ -104,7 +112,7 @@ def parse_complex(obj, exact: bool):
             # floats are exact binary rationals; accept them
             re, im = Fraction(re), Fraction(im)
         return ComplexRational(re, im)
-    return complex(float(re), float(im))
+    return complex(_float(re), _float(im))
 
 
 def scalar_to_json(value):
@@ -142,8 +150,8 @@ def parse_matrix(obj, exact: bool = False) -> MatrixInput:
     if len(entries) != n or any(not isinstance(r, list) or len(r) != n
                                 for r in entries):
         raise ParseError(f"matrix entries must form an {n} x {n} array")
-    parsed = [[parse_complex(e, exact) for e in row] for row in entries]
-    matrix = np.array([[complex(e) for e in row] for row in parsed],
+    # the matrix is complex128 in either mode; only eigenvalues stay exact
+    matrix = np.array([[parse_complex(e, False) for e in row] for row in entries],
                       dtype=complex)
     eigenvalues = None
     if "eigenvalues" in obj:

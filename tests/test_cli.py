@@ -105,13 +105,32 @@ def test_unwritable_out_is_an_input_error(inputs, tmp_path, capsys):
     ("spec", {"tensor": {"sym": 1}}),
     ("g", {"n": True, "entries": [[2]]}),
     ("g", {"n": 1.0, "entries": [[2]]}),
+    # numbers past float range: moduli, a matrix, and a matrix under --exact
+    ("x", {"values": [10 ** 400, 1]}),
+    ("g", {"entries": [[10 ** 400, 0], [0, 1]]}),
+    ("x --exact", {"entries": [[10 ** 400, 0], [0, 1]]}),
 ])
 def test_malformed_payloads_are_parse_errors(key, payload, inputs, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
+    key, *flags = key.split()
     command = {"x": "order", "spec": "char", "g": "decompose"}[key]
-    code, report = run_json(commands({**inputs, key: str(path)})[command], capsys)
+    argv = commands({**inputs, key: str(path)})[command] + flags
+    code, report = run_json(argv, capsys)
     assert (code, report["error"]) == (2, "ParseError")
+
+
+def test_unipotent_matrix_is_equal_to_the_identity(tmp_path, capsys):
+    # [[0, 1], [-1, 2]] is conjugate to the Jordan block [[1, 1], [0, 1]],
+    # so its moduli are those of its hyperbolic part, the identity
+    g, one = tmp_path / "g.json", tmp_path / "one.json"
+    g.write_text(json.dumps({"entries": [[0, 1], [-1, 2]]}))
+    one.write_text(json.dumps({"values": [1, 1]}))
+    for a, b in ((g, one), (one, g)):
+        code, report = run_json(["order", "--g1", str(a), "--g2", str(b)], capsys)
+        assert (code, report["relation"]) == (0, "EQUAL")
+        code, report = run_json(["witness", "--h1", str(a), "--h2", str(b)], capsys)
+        assert (code, report["error"]) == (1, "OrderHolds")
 
 
 def test_dim_cap_reaches_the_witness_search(inputs, capsys):

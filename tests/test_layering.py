@@ -4,7 +4,8 @@ the CLI and serialize import matrix code only inside the functions that
 use it, so importing them loads neither numpy nor scipy. Checked on the
 source with ast, and for the moduli layers also on sys.modules in a fresh
 interpreter. No module imports dataclasses (kostant._frozen stands in) or
-scipy.linalg (kostant.linalg loads scipy's LAPACK extension alone).
+scipy.linalg (kostant.linalg loads scipy's LAPACK extension alone), and
+none but cmjd's independent check calls an eigensolver.
 Every package export is used by some other part of the package, and every
 lazy export names a definition in its module."""
 
@@ -79,6 +80,37 @@ def test_no_module_imports_scipy_linalg(path):
     bad = [name for name in imported_modules(path)
            if name == "scipy.linalg" or name.startswith("scipy.linalg.")]
     assert bad == []
+
+
+EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
+
+
+def eigensolver_calls(path: Path) -> list[str]:
+    """The eigensolvers the file calls, as f(...) or m.f(...)."""
+    calls = [node.func for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)]
+    names = [f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+             for f in calls]
+    return [name for name in names if name in EIGENSOLVERS]
+
+
+# every spectrum is read off linalg.spectral_projectors' Schur form;
+# cmjd's eigvals is validate_cmjd's independent check of that kernel
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "cmjd.py"}),
+                         ids=lambda p: p.name)
+def test_one_spectral_kernel(path):
+    assert eigensolver_calls(path) == []
+
+
+def test_eigensolver_checker_sees_each_call_form(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text("np.linalg.eigvals(a)\n"
+                      "eig(a)\n"
+                      "scipy.linalg.eigh(a)\n"
+                      "np.linalg.eigvalsh(a)\n"
+                      "x.eigenvalues(a)\n"
+                      "f = np.linalg.eig\n")
+    assert eigensolver_calls(source) == ["eigvals", "eig", "eigh", "eigvalsh"]
 
 
 @pytest.mark.parametrize("module", ["kostant.order", "kostant.serialize"])

@@ -16,6 +16,7 @@ from kostant import (
     NonConvergence,
     eigen_spectrum,
     mat_norm,
+    matrix_moduli,
     spectral_projectors,
 )
 from kostant.cli import main
@@ -114,6 +115,20 @@ class TestEigenSpectrum:
     def test_rejects_negative_tol(self):
         with pytest.raises(ValueError):
             eigen_spectrum(np.eye(2), cluster_tol=-1.0)
+
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_conjugated_jordan_block_is_one_cluster(self, rng, size):
+        # rounding splits the eigenvalue; the kernel merges it back
+        for _ in range(5):
+            g, _ = jordan_direct_sum(rng, [size])
+            assert [m for _, m in eigen_spectrum(g).clusters] == [size]
+
+    def test_matrix_moduli_are_the_kernels(self, rng):
+        matrices = [jordan_direct_sum(rng, sizes)[0]
+                    for sizes in ([1] * 6, [2], [3, 1], [2, 2, 1])]
+        matrices += [random_invertible(rng, int(rng.integers(2, 9))) for _ in range(10)]
+        for g in matrices:
+            assert list(matrix_moduli(g).values) == spectral_projectors(g).spectrum.moduli()
 
 
 class TestSpectralProjectors:

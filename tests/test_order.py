@@ -150,6 +150,20 @@ class TestKostantCompare:
         v = kostant_compare([40.0, 10.0, 2.5], [2.0, 1.0, 0.5])
         assert v.relation == GEQ
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 12),
+           *[st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)] * 2)
+    @example(3, 1.9999999999999998, 1.0)
+    @example(8, 1e-300, 1.0)
+    @example(7, 7.3e12, 1.0)
+    def test_scalar_vectors_are_equal(self, n, c, d):
+        # c (1, ..., 1) centers to the rounding of its mean alone
+        x, y = [c] * n, [d] * n
+        assert kostant_compare(x, y).relation == EQUAL
+        assert kostant_compare(y, x).relation == EQUAL
+        with pytest.raises(OrderHolds):
+            find_separating_character(x, y)
+
     def test_agrees_with_ext_radius_test(self, rng):
         for _ in range(200):
             n = int(rng.integers(2, 7))
