@@ -10,13 +10,18 @@ prefix functionals (or separating characters) certifying failure.
 
 Comparison policy: exact inputs (Fractions) are compared exactly; float
 comparisons treat differences within REL_SLACK of a scale as ties.
-Every prefix test (kostant_compare, permutohedron_certificate,
-find_separating_character) reads the per-level comparisons of one
-kernel, _prefix_cmp, over running sums, or running products for exact
-multiplicative input; each caller supplies its own scale. The witness
-search scans h_m degrees with the one float h_m recurrence of symchar
-(_h_scan), and settles in-band h_m comparisons exactly under one tie
-rule (_h_sign); binary floats are rationals.
+Prefix tests on sums (permutohedron_certificate; kostant_compare and
+find_separating_character on float moduli, as centered logs) read
+per-level comparisons from one kernel, _prefix_cmp; each float caller
+supplies its own scale, and rational logs reach it as integers over one
+common denominator. On rational moduli the order is decided by a float
+filter on the logs, whose band is a proven bound on the rounding of the
+logs (libm's log correct to a few ulps) and of their sums, with integer
+products behind it for the levels inside the band
+(_normalized_prefix_comparisons). The witness search scans h_m degrees
+with the one float h_m recurrence of symchar (_h_scan), and settles
+in-band h_m comparisons exactly under one tie rule (_h_sign); binary
+floats are rationals.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import math
 from fractions import Fraction
 from functools import total_ordering
 from itertools import accumulate
-from operator import add, mul, sub
+from operator import mul, sub
 
 from ._frozen import frozen
 from .errors import (
@@ -55,6 +60,8 @@ from .symchar import (
 )
 
 REL_SLACK = 1e-10
+# relative error allowed a log computed from rationals: 8 ulps of 1
+PAPER_BAND_EPS = 8 * 2.0 ** -52
 
 GEQ = "GEQ"
 LEQ = "LEQ"
@@ -73,14 +80,14 @@ def _cmp(a, b) -> int:
     return 1 if fa > fb else -1
 
 
-def _prefix_cmp(xs, ys, scale=None, op=add) -> list[int]:
-    """Three-way comparisons of the running sums (or products, op=mul) of
-    xs and ys at each prefix level k = 1..len(xs): the one
-    prefix-dominance kernel. Exact when both sides are rational; else, as
-    in _cmp, differences within REL_SLACK * scale (required) are ties.
+def _prefix_cmp(xs, ys, scale=None) -> list[int]:
+    """Three-way comparisons of the running sums of xs and ys at each
+    prefix level k = 1..len(xs): the one prefix-dominance kernel. Exact
+    without a scale (integers or rationals); with one, as in _cmp,
+    differences within REL_SLACK * scale are ties.
     """
-    px, py = list(accumulate(xs, op)), list(accumulate(ys, op))
-    if not px or (_is_exact(px[-1]) and _is_exact(py[-1])):
+    px, py = accumulate(xs), accumulate(ys)
+    if scale is None:
         return [(a > b) - (a < b) for a, b in zip(px, py)]
     band = REL_SLACK * scale
     # a NaN difference fails the level, as in _cmp
@@ -116,7 +123,7 @@ class LogVector:
 
     @property
     def exact(self) -> bool:
-        return all(_is_exact(v) for v in self.values)
+        return all(map(_is_exact, self.values))
 
 
 @frozen
@@ -229,19 +236,57 @@ def _verdict(comparisons: list[int]) -> OrderVerdict:
 def _normalized_prefix_comparisons(xv: ModuliVector, yv: ModuliVector) -> list[int]:
     """Three-way comparisons of normalized prefix products, k = 1..n-1.
 
-    Comparing P_k(x) / P(x)^(k/n) against the same for y, with P(x) the
-    product of all moduli, is done on running products of x_i^n / P(x)
-    (exact mode; P_k(x)^n / P(x)^k) or on running sums of centered logs
-    (float). The float tie band also covers the rounding of centering,
-    gamma_(n+1) sum |log| with gamma_k = k u / (1 - k u), u = 2^-53
-    (Higham, ch. 3), all that a scalar vector centers to; sum |log| is
-    bounded by sum |centered log| + n |mean|, which needs no more passes.
+    Level k compares P_k(x) / P(x)^(k/n) against the same for y, with
+    P_k(x) the product of the k largest moduli and P(x) = P_n(x). In logs
+    that is the sign of d_k = A_k(x) - A_k(y), A_k = n S_k - k S_n, with
+    S_k the k-th prefix sum of the logs. gamma_k = k u / (1 - k u), u =
+    2^-53, are the rounding terms of Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3.
+
+    Float input is compared on running sums of centered logs. Its tie
+    band also covers the rounding of centering, gamma_(n+1) sum |log|,
+    all that a scalar vector centers to; sum |log| is bounded by sum
+    |centered log| + n |mean|, which needs no more passes.
+
+    Exact input is decided by a float filter with integers behind it
+    (Shewchuk, Discrete Comput. Geom. 18, 1997), so no verdict moves.
+    Each modulus p/q gives l = log p - log q from math.log on the
+    integers, which takes any size. The filter rests on one assumption
+    about libm, the one _LogRatio.sign makes: log is correct to a few
+    ulps. Then each computed l is within eps m of the true one, eps =
+    PAPER_BAND_EPS and m = log p + log q: p, q >= 1, p = 1 is exact, and
+    for p >= 2 the conversion of p to a float costs at most u / log 2 of
+    log p. Let M be the sum of m over x and y, which also bounds sum |l|.
+    Recursive summation puts each S_k within gamma_(n-1) sum |l| of the
+    sum of the computed logs; the scalings by n and k and the subtraction
+    in A_k add 2u (n + k) sum |l|. So each computed A_k is within
+    (n + k)(eps + gamma_(n+1)) M of the true one, to first order. The
+    band beta_k is twice that; the factor 2 covers the second-order
+    terms and the rounding u |d_k| of the last subtraction. A level with
+    |d_k| > beta_k takes the sign of the computed d_k. A level inside
+    the band compares P_k(x)^n P(y)^k against P_k(y)^n P(x)^k in
+    integers: with x_i = p_i / q_i and y_i = r_i / s_i, the unreduced
+    products a_k = prod_(i<=k) p_i s_i and b_k = prod_(i<=k) r_i q_i give
+    P_k(x) / P_k(y) = a_k / b_k, so the level compares a_k^n b_n^k with
+    b_k^n a_n^k.
     """
     n = xv.n
     if xv.exact and yv.exact:
-        total_x, total_y = xv.product(), yv.product()
-        return _prefix_cmp([v ** n / total_x for v in xv.values[:-1]],
-                           [v ** n / total_y for v in yv.values[:-1]], op=mul)
+        ax, size_x, num_x, den_x = _level_logs(xv.values)
+        ay, size_y, num_y, den_y = _level_logs(yv.values)
+        ku = (n + 1) * 2.0 ** -53
+        # beta_k = (n + k) beta
+        beta = 2 * (PAPER_BAND_EPS + ku / (1 - ku)) * (size_x + size_y)
+        signs = [(d > (n + k) * beta) - (d < -(n + k) * beta)
+                 for k, d in enumerate(map(sub, ax, ay), start=1)]
+        if 0 in signs:
+            a = list(accumulate(map(mul, num_x, den_y), mul))
+            b = list(accumulate(map(mul, num_y, den_x), mul))
+            for k, sign in enumerate(signs, start=1):
+                if sign == 0:
+                    lhs, rhs = a[k - 1] ** n * b[-1] ** k, b[k - 1] ** n * a[-1] ** k
+                    signs[k - 1] = (lhs > rhs) - (lhs < rhs)
+        return signs
     lx, ly = xv.log_values(), yv.log_values()
     mean_x = sum(lx) / n
     mean_y = sum(ly) / n
@@ -251,6 +296,22 @@ def _normalized_prefix_comparisons(xv: ModuliVector, yv: ModuliVector) -> list[i
     ku = (n + 1) * 2.0 ** -53
     rounding = ku / (1 - ku) * (spread + n * (abs(mean_x) + abs(mean_y)))
     return _prefix_cmp(cx[:-1], cy[:-1], spread + rounding / REL_SLACK or 1.0)
+
+
+def _level_logs(values) -> tuple[list[float], float, list[int], list[int]]:
+    """A_k = n S_k - k S_n, k = 1..n-1, of the logs of rational moduli p/q;
+    the sum of log p + log q; the numerators p and the denominators q."""
+    logs, size, nums, dens = [], 0.0, [], []
+    for v in values:
+        nums.append(v.numerator)
+        dens.append(v.denominator)
+        log_p, log_q = math.log(nums[-1]), math.log(dens[-1])
+        logs.append(log_p - log_q)
+        size += log_p + log_q
+    sums = list(accumulate(logs))
+    n, total = len(sums), sums[-1]
+    levels = [n * s - k * total for k, s in enumerate(sums[:-1], start=1)]
+    return levels, size, nums, dens
 
 
 # --- permutohedron certificates ---------------------------------------------------
@@ -263,23 +324,34 @@ def permutohedron_certificate(x, y):
     TTransformCertificate with at most n-1 steps transforming sorted x
     into sorted y. Otherwise returns a SeparatingFunctional at the first
     failing prefix level. Raises SumMismatch when the totals differ (the
-    hull question is then vacuous).
+    hull question is then vacuous). Rational input is decided, and its
+    chain built, on the integers that one common denominator makes of it.
     """
     lx = x if isinstance(x, LogVector) else LogVector.from_values(x)
     ly = y if isinstance(y, LogVector) else LogVector.from_values(y)
     if lx.n != ly.n:
         raise LengthMismatch(f"lengths {lx.n} != {ly.n}")
-    scale = _abs_scale(lx.values, ly.values)
-    levels = _prefix_cmp(lx.values, ly.values, scale)
+    exact = lx.exact and ly.exact
+    if exact:
+        den = math.lcm(*[v.denominator for v in lx.values + ly.values])
+        xs = [v.numerator * (den // v.denominator) for v in lx.values]
+        ys = [v.numerator * (den // v.denominator) for v in ly.values]
+        levels = _prefix_cmp(xs, ys)
+    else:
+        xs, ys = lx.values, ly.values
+        scale = _abs_scale(xs, ys)
+        levels = _prefix_cmp(xs, ys, scale)
     if levels[-1] != 0:
         raise SumMismatch(f"totals differ: {sum(lx.values)} vs {sum(ly.values)}")
     failing = next((k for k, c in enumerate(levels[:-1], start=1) if c < 0), None)
     if failing is not None:
-        px, py = sum(lx.values[:failing]), sum(ly.values[:failing])
+        px, py = sum(xs[:failing]), sum(ys[:failing])
+        if exact:
+            px, py = Fraction(px, den), Fraction(py, den)
         return SeparatingFunctional(
             k=failing, margin=py - px, hull_max=px, value_at_y=py)
 
-    steps = _hlp_steps(list(lx.values), list(ly.values), scale)
+    steps = _exact_hlp_steps(xs, ys) if exact else _hlp_steps(list(xs), list(ys), scale)
     return TTransformCertificate(steps=tuple(steps), start=lx, end=ly)
 
 
@@ -288,18 +360,14 @@ def _hlp_steps(work: list, target: list, scale: float) -> list[tuple[int, int, o
 
     Each round averages the outermost mismatched pair just enough to pin
     one more coordinate to its target, preserving sortedness and
-    majorization; at most n-1 rounds are needed.
+    majorization; at most n-1 rounds are needed. Float input: differences
+    within 1e-14 * scale count as met.
     """
-    exact = all(_is_exact(v) for v in work + target)
-    thr = 0 if exact else 1e-14 * (scale or 1.0)
+    thr = 1e-14 * (scale or 1.0)
     steps: list[tuple[int, int, object]] = []
     for _ in range(len(work)):
         diffs = [w - t for w, t in zip(work, target)]
-        if exact:
-            converged = all(d == 0 for d in diffs)
-        else:
-            converged = all(abs(float(d)) <= thr for d in diffs)
-        if converged:
+        if all(abs(float(d)) <= thr for d in diffs):
             return steps
         above = [i for i, d in enumerate(diffs) if d > thr]
         if above:
@@ -309,7 +377,7 @@ def _hlp_steps(work: list, target: list, scale: float) -> list[tuple[int, int, o
             below = []
         if not above or not below:
             # only float dust remains on one side
-            if not exact and max(abs(float(d)) for d in diffs) <= 10 * thr:
+            if max(abs(float(d)) for d in diffs) <= 10 * thr:
                 return steps
             raise AssertionError(
                 "T-transform chain stalled; inputs not majorized?")
@@ -321,6 +389,35 @@ def _hlp_steps(work: list, target: list, scale: float) -> list[tuple[int, int, o
         work[j] = work[j] - delta
         work[k] = work[k] + delta
     raise AssertionError("T-transform chain did not converge; inputs not majorized?")
+
+
+def _exact_hlp_steps(work: list[int],
+                     target: list[int]) -> list[tuple[int, int, Fraction]]:
+    """The chain of _hlp_steps on integers (rationals over a common
+    denominator), with exact weights t = 1 - delta / gap. A step pins a
+    coordinate to its target for good, and changes only two coordinates,
+    so it updates only their two differences."""
+    diffs = list(map(sub, work, target))
+    steps: list[tuple[int, int, Fraction]] = []
+    while any(diffs):
+        # j: the last coordinate above its target; k: the first one after
+        # j below its target
+        j = k = None
+        for i, d in enumerate(diffs):
+            if d > 0:
+                j, k = i, None
+            elif d < 0 and k is None and j is not None:
+                k = i
+        if k is None:
+            raise AssertionError("T-transform chain stalled; inputs not majorized?")
+        delta = min(diffs[j], -diffs[k])
+        gap = work[j] - work[k]
+        steps.append((j, k, Fraction(gap - delta, gap)))
+        work[j] -= delta
+        work[k] += delta
+        diffs[j] -= delta
+        diffs[k] += delta
+    return steps
 
 
 def apply_t_transforms(start, steps) -> list:
@@ -343,7 +440,6 @@ def verify_certificate(cert: TTransformCertificate) -> float:
 
 
 PAPER_EXACT_LIMIT = 20_000
-PAPER_BAND_EPS = 8 * 2.0 ** -52
 
 
 def separating_sym_power(c_vec, d_vec, *,
@@ -500,9 +596,10 @@ def find_separating_character(x, y, *,
     on the exterior moduli. The smallest failing level is preferred;
     levels whose separation degree would push the composed dimension over
     dim_cap are skipped in favour of later failing levels. Raises
-    OrderHolds when x >= y, and DimensionCap when every failing level
-    needs a degree beyond the cap (near-comparable pairs genuinely
-    require enormous symmetric powers).
+    OrderHolds when x >= y, and DimensionCap when no failing level gives
+    a witness (near-comparable pairs genuinely require enormous symmetric
+    powers); its message names each level with the reason it was skipped,
+    a degree budget below 1 or the NotSeparable reason of its degree scan.
     """
     xv, yv = _normalize_sl(_as_moduli(x)), _normalize_sl(_as_moduli(y))
     if xv.n != yv.n:
@@ -515,17 +612,21 @@ def find_separating_character(x, y, *,
     n = xv.n
     failing = [k for k, c in enumerate(comparisons, start=1) if c < 0]
 
+    skipped = []
     for k in failing:
         ext_dim = math.comb(n, k)
         m_budget = _degree_budget(ext_dim, dim_cap)
         if m_budget is not None and m_budget < 1:
+            skipped.append(f"level {k}: degree budget {m_budget} < 1 "
+                           f"(Ext^{k} alone has dimension {ext_dim})")
             continue
         ext_x = rep_moduli(Ext(k), xv, cap=None)
         ext_y = rep_moduli(Ext(k), yv, cap=None)
         try:
             m_min, m_paper = separating_sym_power(
                 ext_y, ext_x, m_limit=m_budget)
-        except NotSeparable:
+        except NotSeparable as exc:
+            skipped.append(f"level {k}: {exc}")
             continue
         spec = Compose(Sym(m_min), Ext(k))
         dimension = rep_dim(spec, n)
@@ -540,10 +641,12 @@ def find_separating_character(x, y, *,
         return SeparatingWitness(k=k, m=m_min, spec=spec, chi_1=chi_1,
                                  chi_2=chi_2, paper_bound_m=m_paper,
                                  dimension=dimension)
-    raise DimensionCap(
-        f"every failing level needs a symmetric power beyond dimension cap "
-        f"{dim_cap}; the pair is nearly comparable (raise dim_cap, or use "
-        f"exact inputs and dim_cap=None)")
+    advice = "" if xv.exact and yv.exact and dim_cap is None else (
+        "; the pair is nearly comparable (raise dim_cap, or use exact inputs "
+        "and dim_cap=None)")
+    cap = "" if dim_cap is None else f" under dimension cap {dim_cap}"
+    raise DimensionCap(f"no failing level gives a separating character{cap}: "
+                       f"{'; '.join(skipped)}{advice}")
 
 
 MAX_SYM_DEGREE = 10 ** 6

@@ -7,6 +7,7 @@ library's evaluation paths.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
@@ -182,6 +183,22 @@ def verify_functional(func, x, y) -> bool:
     hull_max = max(sum(sorted(p, reverse=True)[:k]) for p in set(permutations(xs)))
     margin = value_at_y - hull_max
     return margin > 0 and margin == func.margin
+
+
+def normalized_prefix_oracle(x, y) -> list[int]:
+    """Signs of P_k(x)^n P(y)^k - P_k(y)^n P(x)^k, k = 1..n-1, in Fractions:
+    the per-level comparisons of the normalized prefix products of the
+    moduli x and y, with P_k the product of the k largest and P = P_n."""
+    xs = sorted(map(Fraction, x), reverse=True)
+    ys = sorted(map(Fraction, y), reverse=True)
+    n = len(xs)
+    px, py = math.prod(xs), math.prod(ys)
+    signs = []
+    for k in range(1, n):
+        lhs = math.prod(xs[:k]) ** n * py ** k
+        rhs = math.prod(ys[:k]) ** n * px ** k
+        signs.append((lhs > rhs) - (lhs < rhs))
+    return signs
 
 
 def hull_member_oracle(x_logs, y_logs) -> bool:

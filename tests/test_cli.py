@@ -134,8 +134,24 @@ def test_unipotent_matrix_is_equal_to_the_identity(tmp_path, capsys):
 
 
 def test_dim_cap_reaches_the_witness_search(inputs, capsys):
-    assert main(commands(inputs)["witness"] + ["--dim-cap", "1"]) == 2
-    assert json.loads(capsys.readouterr().out)["error"] == "DimensionCap"
+    code, report = run_json(commands(inputs)["witness"] + ["--dim-cap", "1"], capsys)
+    assert (code, report["error"]) == (2, "DimensionCap")
+    assert "level 1: degree budget 0 < 1 (Ext^1 alone has dimension 3)" \
+        in report["message"]
+
+
+def test_dimension_cap_names_the_reason_of_each_level(tmp_path, capsys):
+    # an exact pair that h_1 separates, refused because the paper degree
+    # search overflows: the report says so, not only that a cap was hit
+    a = 2 * (1 + Fraction(1, 10 ** 14))
+    (tmp_path / "x.json").write_text(json.dumps({"values": ["2", "1/2"]}))
+    (tmp_path / "y.json").write_text(json.dumps({"values": [str(a), str(1 / a)]}))
+    code, report = run_json(["witness", "--exact", "--h1", str(tmp_path / "x.json"),
+                             "--h2", str(tmp_path / "y.json")], capsys)
+    assert (code, report["error"]) == (2, "DimensionCap")
+    assert report["message"].startswith(
+        "no failing level gives a separating character under dimension cap "
+        "1000000: level 1: paper degree bound overflowed the search range")
 
 
 def test_rational_string_entries(tmp_path, capsys):

@@ -18,6 +18,7 @@ from kostant import (
     INCOMPARABLE,
     LEQ,
     Compose,
+    DimensionCap,
     Ext,
     LengthMismatch,
     LogValue,
@@ -48,6 +49,7 @@ from conftest import (
     dominated_moduli_pair,
     hull_member_oracle,
     mixed_logs,
+    normalized_prefix_oracle,
     random_sl_moduli,
     rational_zero_sum_logs,
     verify_functional,
@@ -192,6 +194,97 @@ class TestKostantCompare:
             verdict = kostant_compare(x, y)
             member = hull_member_oracle(x_logs, y_logs)
             assert (verdict.relation in (GEQ, EQUAL)) == member
+
+
+def _transfer(values, i, j, t):
+    """A rational T-transform of sorted moduli: v_i / r and v_j * r for
+    i < j, with 1 <= r <= 2 R / (R + 1) <= sqrt(R), R = v_i / v_j, so both
+    stay within [v_j, v_i]. Prefix products below level i + 1 and from
+    level j + 1 on keep their values: those levels stay tied."""
+    ratio = values[i] / values[j]
+    r = 1 + t * (ratio - 1) / (ratio + 1)
+    out = list(values)
+    out[i], out[j] = out[i] / r, out[j] * r
+    return out
+
+
+SCALES = (F(3, 7), F(10 ** 300, 7), F(10 ** 400, 3), F(3, 10 ** 400))
+
+
+@st.composite
+def planted_tie_pairs(draw):
+    """Rational moduli (x, y), n = 2-9, with ties planted at each level:
+    y starts as a permutation of x (every level tied) or as an independent
+    draw, then takes rational T-transforms, relative perturbations down to
+    1e-20 and common rational scalings, some past float range."""
+    n = draw(st.integers(2, 9))
+    moduli = st.fractions(F(1, 40), F(40), max_denominator=40)
+    x = draw(st.lists(moduli, min_size=n, max_size=n))
+    y = draw(st.one_of(st.permutations(x), st.lists(moduli, min_size=n, max_size=n)))
+    ops = st.sampled_from(("transfer", "perturb", "scale x", "scale y"))
+    for op in draw(st.lists(ops, max_size=5)):
+        y.sort(reverse=True)
+        if op == "transfer":
+            i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                        unique=True)))
+            y = _transfer(y, i, j, draw(st.fractions(0, 1, max_denominator=16)))
+        elif op == "perturb":
+            delta = F(draw(st.sampled_from((1, -1))), 10 ** draw(st.integers(1, 20)))
+            y[draw(st.integers(0, n - 1))] *= 1 + delta
+        else:
+            c = draw(st.one_of(st.sampled_from(SCALES),
+                               st.fractions(F(1, 1000), F(1000))))
+            if op == "scale x":
+                x = [v * c for v in x]
+            else:
+                y = [v * c for v in y]
+    return x, y
+
+
+class TestExactPrefixFilter:
+    """kostant_compare on rational moduli: the float filter and the integer
+    comparisons behind it against the Fraction oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(planted_tie_pairs())
+    # a common scaling: every level ties, and the float differences are
+    # rounding (caught by a band that is too thin)
+    @example(([F(2), F(1, 2)], [F(6), F(3, 2)]))
+    @example(([F(5), F(3, 2), F(2, 15)], [F(15), F(9, 2), F(2, 5)]))
+    # a tie at level 2 of 3 behind a transfer, with denominators
+    @example(([F(7, 3), F(5, 2), F(1, 6)], [F(145, 59), F(413, 174), F(1, 6)]))
+    # a perturbation of 1e-20 behind a common scaling past float range
+    @example(([F(10 ** 400, 3), F(1, 3)],
+              [F(10 ** 400, 3) * (1 + F(1, 10 ** 20)), F(1, 3)]))
+    def test_levels_match_fraction_oracle(self, pair):
+        x, y = pair
+        signs = normalized_prefix_oracle(x, y)
+        xv, yv = ModuliVector.from_values(x), ModuliVector.from_values(y)
+        assert order._normalized_prefix_comparisons(xv, yv) == signs
+        geq, leq = min(signs) >= 0, max(signs) <= 0
+        relation = (EQUAL if geq and leq else GEQ if geq
+                    else LEQ if leq else INCOMPARABLE)
+        assert kostant_compare(x, y).relation == relation
+
+    # n <= 7: the oracle checks a functional on all n! vertices
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 7), st.integers(1, 12), st.integers(1, 12),
+           st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_exact_chain_replays_to_end(self, n, den_x, den_y, seed, member):
+        rng = np.random.default_rng(seed)
+        x = rational_zero_sum_logs(rng, n, denominator=den_x)
+        y = mixed_logs(rng, x) if member else rational_zero_sum_logs(
+            rng, n, denominator=den_y)
+        cert = permutohedron_certificate(x, y)
+        if isinstance(cert, TTransformCertificate):
+            assert len(cert.steps) <= n - 1
+            weights = [t for _, _, t in cert.steps]
+            assert all(isinstance(t, Fraction) and 0 <= t <= 1 for t in weights)
+            replayed = apply_t_transforms(cert.start.values, cert.steps)
+            assert replayed == list(cert.end.values)
+        else:
+            assert not member
+        assert isinstance(cert, TTransformCertificate) == hull_member_oracle(x, y)
 
 
 class TestPrefixDominanceAgreement:
@@ -422,6 +515,25 @@ class TestFindSeparatingCharacter:
         assert w.chi_1 < w.chi_2
         assert math.isclose(w.chi_1.log, complete_homogeneous_log(235, x))
         assert math.isclose(w.chi_2.log, complete_homogeneous_log(235, y))
+
+    def test_dimension_cap_names_each_skipped_level(self):
+        # h_1 separates, but the paper degree search overflows first
+        a = 2 * (1 + F(1, 10 ** 14))
+        x, y = [F(2), F(1, 2)], [a, 1 / a]
+        advice = "use exact inputs and dim_cap=None"
+        with pytest.raises(DimensionCap) as exc:
+            find_separating_character(x, y, dim_cap=None)
+        message = str(exc.value)
+        assert "level 1: paper degree bound overflowed the search range" in message
+        assert advice not in message
+        with pytest.raises(DimensionCap) as exc:
+            find_separating_character(x, y)
+        assert "dimension cap 1000000: level 1: paper degree" in str(exc.value)
+        assert advice in str(exc.value)
+        with pytest.raises(DimensionCap) as exc:
+            find_separating_character(x, y, dim_cap=1)
+        assert "level 1: degree budget 0 < 1" in str(exc.value)
+        assert advice in str(exc.value)
 
     def test_dominating_pair_raises(self):
         with pytest.raises(OrderHolds):
