@@ -5,8 +5,9 @@ Inputs are JSON files (matrix or moduli payloads, auto-detected by their
 'entries' / 'values' field). Reports are deterministic JSON on stdout or
 --out. Exit codes: 0 success, 1 mathematical negative (order fails /
 order holds when a witness was requested / not a hull member), 2 input
-error (an unwritable --out included), 3 numerical failure (an internal check that fails, such as a stalled
-T-transform chain, included).
+error (an unwritable --out included), 3 numerical failure (an internal
+check that fails, such as a stalled T-transform chain, included). The
+handlers hold no order logic: every decision is made in order.
 
 The matrix layers (cmjd, linalg, and numpy and scipy's LAPACK extension)
 and the self-check suites are imported by the handlers that use them, so a
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import serialize
@@ -42,7 +42,6 @@ from .order import (
     EQUAL,
     GEQ,
     SeparatingFunctional,
-    _LogRatio,
     find_separating_character,
     kostant_compare,
     permutohedron_certificate,
@@ -167,34 +166,12 @@ def _run_witness(config: JobConfig) -> tuple[int, dict]:
 def _run_certify(config: JobConfig) -> tuple[int, dict]:
     x = _load_moduli(config.inputs["x"], config)
     y = _load_moduli(config.inputs["y"], config)
-    lx = [math.log(v) for v in x.as_floats()]
-    ly = [math.log(v) for v in y.as_floats()]
-    if x.exact and y.exact:
-        result = _exact_hull_certificate(x, y, lx, ly)
-    else:
-        result = permutohedron_certificate(lx, ly)
+    result = permutohedron_certificate(x, y)
     if isinstance(result, SeparatingFunctional):
         return 1, {"command": "certify", "member": False,
                    "functional": serialize.functional_to_json(result)}
     return 0, {"command": "certify", "member": True,
                "certificate": serialize.certificate_to_json(result)}
-
-
-def _exact_hull_certificate(x: ModuliVector, y: ModuliVector, lx: list, ly: list):
-    """permutohedron_certificate(lx, ly) for exact moduli x, y, with
-    membership decided on their exact prefix products, as kostant_compare
-    decides it, in place of the float tie band. A non-member's functional
-    takes its margin log(P_k(y) / P_k(x)) from the exact ratio; the float
-    T-chain serves only as the certificate of a member."""
-    verdict = kostant_compare(x, y)
-    if x.product() != y.product():
-        raise SumMismatch(f"totals differ: {sum(lx)} vs {sum(ly)}")
-    if verdict.relation in (GEQ, EQUAL):
-        return permutohedron_certificate(lx, ly)
-    k = verdict.failing_level
-    margin = _LogRatio.of(math.prod(y.values[:k]), math.prod(x.values[:k])).log
-    return SeparatingFunctional(k=k, margin=margin, hull_max=sum(lx[:k]),
-                                value_at_y=sum(ly[:k]))
 
 
 def _run_selfcheck(config: JobConfig) -> tuple[int, dict]:

@@ -18,10 +18,12 @@ common denominator. On rational moduli the order is decided by a float
 filter on the logs, whose band is a proven bound on the rounding of the
 logs (libm's log correct to a few ulps) and of their sums, with integer
 products behind it for the levels inside the band
-(_normalized_prefix_comparisons). The witness search scans h_m degrees
-with the one float h_m recurrence of symchar (_h_scan), and settles
-in-band h_m comparisons exactly under one tie rule (_h_sign); binary
-floats are rationals.
+(_normalized_prefix_comparisons); the hull membership of rational moduli
+in permutohedron_certificate is that verdict. The witness search scans
+h_m degrees with the one float h_m recurrence of symchar (_h_scan), and
+settles in-band h_m comparisons exactly under one tie rule (_h_sign);
+binary floats are rationals. A witness is accepted on the characters it
+reports, evaluated once per side (_h_compare).
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ from .symchar import (
     _h_scan,
     _is_exact,
     _last,
+    _rational_log,
+    _scaled_to_float,
     _scaled_to_log,
-    complete_homogeneous,
-    complete_homogeneous_log,
     rep_dim,
     rep_moduli,
 )
@@ -326,7 +328,13 @@ def permutohedron_certificate(x, y):
     failing prefix level. Raises SumMismatch when the totals differ (the
     hull question is then vacuous). Rational input is decided, and its
     chain built, on the integers that one common denominator makes of it.
+    A ModuliVector pair stands for its logs; on rational moduli membership
+    is kostant_compare's exact verdict, a non-member's margin comes from
+    the exact ratio P_k(y) / P_k(x), and a member's chain from float logs.
     """
+    rational = isinstance(x, ModuliVector) and x.exact and y.exact
+    if isinstance(x, ModuliVector):
+        xm, ym, x, y = x, y, x.log_values(), y.log_values()
     lx = x if isinstance(x, LogVector) else LogVector.from_values(x)
     ly = y if isinstance(y, LogVector) else LogVector.from_values(y)
     if lx.n != ly.n:
@@ -340,7 +348,8 @@ def permutohedron_certificate(x, y):
     else:
         xs, ys = lx.values, ly.values
         scale = _abs_scale(xs, ys)
-        levels = _prefix_cmp(xs, ys, scale)
+        levels = _prefix_cmp(xs, ys, scale) if not rational else [
+            *_normalized_prefix_comparisons(xm, ym), xm.product() != ym.product()]
     if levels[-1] != 0:
         raise SumMismatch(f"totals differ: {sum(lx.values)} vs {sum(ly.values)}")
     failing = next((k for k, c in enumerate(levels[:-1], start=1) if c < 0), None)
@@ -348,8 +357,9 @@ def permutohedron_certificate(x, y):
         px, py = sum(xs[:failing]), sum(ys[:failing])
         if exact:
             px, py = Fraction(px, den), Fraction(py, den)
-        return SeparatingFunctional(
-            k=failing, margin=py - px, hull_max=px, value_at_y=py)
+        margin = py - px if not rational else _LogRatio.of(
+            math.prod(ym.values[:failing]), math.prod(xm.values[:failing])).log
+        return SeparatingFunctional(k=failing, margin=margin, hull_max=px, value_at_y=py)
 
     steps = _exact_hlp_steps(xs, ys) if exact else _hlp_steps(list(xs), list(ys), scale)
     return TTransformCertificate(steps=tuple(steps), start=lx, end=ly)
@@ -476,7 +486,7 @@ def separating_sym_power(c_vec, d_vec, *,
             f"(guaranteed bound is {m_paper})")
     chain = log_ratio.sign(m_paper, math.log(math.comb(m_paper + n - 1, n - 1)))
     if chain < 0 or (chain == 0 and m_paper <= PAPER_EXACT_LIMIT
-                     and _h_cmp(m_paper, cv, dv) <= 0):
+                     and _h_compare(m_paper, cv, dv)[0] <= 0):
         raise AssertionError("the paper degree failed to separate")
     return m_min, m_paper
 
@@ -546,10 +556,31 @@ def _least_paper_degree(c, d, n: int, log_ratio: _LogRatio | None = None) -> int
 EXACT_TIE_DEGREE_LIMIT = 2000
 
 
-def _h_cmp(m: int, cv: ModuliVector, dv: ModuliVector) -> int:
-    """Three-way compare of h_m(cv) vs h_m(dv), exact on float ties."""
-    return _h_sign(m, complete_homogeneous_log(m, cv),
-                   complete_homogeneous_log(m, dv), cv, dv)
+def _h_compare(m: int, cv: ModuliVector, dv: ModuliVector) -> tuple[int, object, object]:
+    """h_m(cv) against h_m(dv), three-way, and the two values, from one
+    evaluation per side: exact between rationals, else _h_sign on the
+    logs. The values are a LogValue pair when a float one is past range."""
+    (h_c, log_c), (h_d, log_d) = _h_value(m, cv), _h_value(m, dv)
+    if None in (h_c, h_d):
+        h_c, h_d = LogValue(log_c), LogValue(log_d)
+    sign = (h_c > h_d) - (h_c < h_d) if cv.exact and dv.exact else \
+        _h_sign(m, log_c, log_d, cv, dv)
+    return sign, h_c, h_d
+
+
+def _h_value(m: int, v: ModuliVector) -> tuple[object, float]:
+    """h_m(v) and its log: by _h_exact on rationals, with the log from the
+    value's integers; else from one _h_scan pass, None past float range."""
+    if v.exact:
+        h = _last(_h_exact(v.as_fractions(), m))
+        return h, _rational_log(h)
+    values = v.as_floats()
+    scaled = _last(_h_scan(values, m))
+    log = _scaled_to_log(math.log(values[0]), m, *scaled)
+    try:
+        return _scaled_to_float(values[0], m, *scaled), log
+    except Overflow:
+        return None, log
 
 
 def _h_sign(m: int, log_c: float, log_d: float, cv: ModuliVector,
@@ -575,14 +606,25 @@ def _least_separating_degree(cv: ModuliVector, dv: ModuliVector,
                              m_stop: int) -> int | None:
     """Least m <= m_stop with h_m(cv) > h_m(dv) under the tie rule of
     _h_sign, from one _h_scan pass per side. Returns None when no degree
-    up to m_stop separates.
+    up to m_stop separates. Rational moduli are scanned as their exact
+    ratios to the largest, which are never above 1, with the log of the
+    largest from its integers: no modulus is converted to a float.
     """
-    fc, fd = cv.as_floats(), dv.as_floats()
-    for m, (hc, hd) in enumerate(zip(_h_scan(fc, m_stop), _h_scan(fd, m_stop))):
-        if m and _h_sign(m, _scaled_to_log(fc[0], m, *hc),
-                         _scaled_to_log(fd[0], m, *hd), cv, dv) > 0:
+    (log_c, qc), (log_d, qd) = _scan_input(cv), _scan_input(dv)
+    for m, (hc, hd) in enumerate(zip(_h_scan(qc, m_stop), _h_scan(qd, m_stop))):
+        if m and _h_sign(m, _scaled_to_log(log_c, m, *hc),
+                         _scaled_to_log(log_d, m, *hd), cv, dv) > 0:
             return m
     return None
+
+
+def _scan_input(v: ModuliVector) -> tuple[float, tuple[float, ...]]:
+    """The log of the largest modulus, and the moduli that _h_scan reads."""
+    if not v.exact:
+        values = v.as_floats()
+        return math.log(values[0]), values
+    top = Fraction(v.values[0])
+    return _rational_log(top), tuple(float(value / top) for value in v.values)
 
 
 def find_separating_character(x, y, *,
@@ -623,24 +665,16 @@ def find_separating_character(x, y, *,
         ext_x = rep_moduli(Ext(k), xv, cap=None)
         ext_y = rep_moduli(Ext(k), yv, cap=None)
         try:
-            m_min, m_paper = separating_sym_power(
-                ext_y, ext_x, m_limit=m_budget)
+            m_min, m_paper = separating_sym_power(ext_y, ext_x, m_limit=m_budget)
         except NotSeparable as exc:
             skipped.append(f"level {k}: {exc}")
             continue
-        spec = Compose(Sym(m_min), Ext(k))
-        dimension = rep_dim(spec, n)
-        try:
-            chi_1 = complete_homogeneous(m_min, ext_x)
-            chi_2 = complete_homogeneous(m_min, ext_y)
-        except Overflow:
-            chi_1 = LogValue(complete_homogeneous_log(m_min, ext_x))
-            chi_2 = LogValue(complete_homogeneous_log(m_min, ext_y))
-        if _h_cmp(m_min, ext_y, ext_x) <= 0:
+        sign, chi_2, chi_1 = _h_compare(m_min, ext_y, ext_x)
+        if sign <= 0:
             raise AssertionError("witness failed its strict character comparison")
-        return SeparatingWitness(k=k, m=m_min, spec=spec, chi_1=chi_1,
-                                 chi_2=chi_2, paper_bound_m=m_paper,
-                                 dimension=dimension)
+        spec = Compose(Sym(m_min), Ext(k))
+        return SeparatingWitness(k=k, m=m_min, spec=spec, chi_1=chi_1, chi_2=chi_2,
+                                 paper_bound_m=m_paper, dimension=rep_dim(spec, n))
     advice = "" if xv.exact and yv.exact and dim_cap is None else (
         "; the pair is nearly comparable (raise dim_cap, or use exact inputs "
         "and dim_cap=None)")

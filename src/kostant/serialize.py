@@ -51,6 +51,7 @@ from .symchar import (
     Schur,
     Sym,
     Tensor,
+    _rational_log,
 )
 
 if TYPE_CHECKING:
@@ -120,17 +121,13 @@ def scalar_to_json(value):
         try:
             return str(value)
         except ValueError:  # more digits than Python prints for an int
-            return {"log": math.log(value.numerator) - math.log(value.denominator)}
+            return {"log": _rational_log(value)}
     if isinstance(value, LogValue):
         return {"log": value.log}
     return float(value)
 
 
 def complex_to_json(z) -> dict:
-    from .linalg import ComplexRational
-
-    if isinstance(z, ComplexRational):
-        return {"re": str(z.re), "im": str(z.im)}
     z = complex(z)
     return {"re": z.real, "im": z.imag}
 

@@ -48,6 +48,19 @@ def _is_exact(value) -> bool:
     return isinstance(value, (int, Fraction))
 
 
+def _rational_log(value) -> float:
+    """log p - log q of a rational p/q, for integers of any size."""
+    return math.log(value.numerator) - math.log(value.denominator)
+
+
+def _log(value) -> float:
+    """math.log(float(value)); log p - log q for a rational p/q whose float
+    would overflow or underflow the normal range."""
+    if isinstance(value, float) or sys.float_info.min <= value <= sys.float_info.max:
+        return math.log(float(value))
+    return _rational_log(value)
+
+
 # --- domain types -----------------------------------------------------------
 
 
@@ -101,7 +114,7 @@ class ModuliVector:
         return tuple(Fraction(v) for v in self.values)
 
     def log_values(self) -> tuple[float, ...]:
-        return tuple(math.log(float(v)) for v in self.values)
+        return tuple(math.log(v) if v.__class__ is float else _log(v) for v in self.values)
 
     def normalized(self) -> "ModuliVector":
         """Scale to product 1 (geometric-mean division; float result)."""
@@ -223,7 +236,7 @@ def complete_homogeneous_log(m: int, x) -> float:
     if m < 0:
         raise ValueError("degree must be nonnegative")
     values = x.as_floats()
-    return _scaled_to_log(values[0], m, *_last(_h_scan(values, m)))
+    return _scaled_to_log(math.log(values[0]), m, *_last(_h_scan(values, m)))
 
 
 def _h_exact(values: tuple[Fraction, ...], m_max: int):
@@ -275,8 +288,9 @@ def _last(rows):
     return deque(rows, maxlen=1)[0]
 
 
-def _scaled_to_log(x1: float, m: int, h: float, shift: int) -> float:
-    return m * math.log(x1) + shift * _LN2 + math.log(h)
+def _scaled_to_log(log_x1: float, m: int, h: float, shift: int) -> float:
+    """The log of x1**m * h * 2**shift, from log x1."""
+    return m * log_x1 + shift * _LN2 + math.log(h)
 
 
 def _scaled_to_float(x1: float, m: int, h: float, shift: int) -> float:
@@ -284,7 +298,7 @@ def _scaled_to_float(x1: float, m: int, h: float, shift: int) -> float:
     try:
         top = x1 ** m
         if top < sys.float_info.min:  # x1 < 1 and x1**m underflowed
-            value = math.exp(_scaled_to_log(x1, m, h, shift))
+            value = math.exp(_scaled_to_log(math.log(x1), m, h, shift))
         else:
             value = math.ldexp(top * h, shift)
     except OverflowError:

@@ -89,6 +89,13 @@ def random_sl_moduli(rng, n: int, spread: float = 1.0) -> ModuliVector:
     return ModuliVector.from_values(np.exp(logs))
 
 
+def exact_sl_moduli(rng, n: int) -> ModuliVector:
+    """Rational moduli whose product is exactly 1."""
+    values = [Fraction(int(rng.integers(1, 10)), int(rng.integers(1, 10)))
+              for _ in range(n - 1)]
+    return ModuliVector.from_values(values + [1 / math.prod(values)])
+
+
 def rational_zero_sum_logs(rng, n: int, denominator: int = 4,
                            magnitude: int = 8) -> list[Fraction]:
     """Zero-sum vector of rationals with a fixed small denominator."""

@@ -261,6 +261,40 @@ def test_exact_witness_past_the_digit_limit(tmp_path, capsys):
     assert math.isclose(report["chi2"]["log"], log_h_y, rel_tol=1e-12)
 
 
+def past_float_range(tmp_path):
+    """Files of the SL moduli (2, 1/2) and (10^400/3, 3/10^400), whose
+    floats overflow and underflow."""
+    big = Fraction(10 ** 400, 3)
+    paths = []
+    for name, values in (("small", ["2", "1/2"]), ("big", [str(big), str(1 / big)])):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"values": values}))
+        paths.append(str(tmp_path / f"{name}.json"))
+    return paths
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_certify_past_float_range(flip, tmp_path, capsys):
+    x, y = past_float_range(tmp_path)[::-1 if flip else 1]
+    code, report = run_json(["certify", "--exact", "--x", x, "--y", y], capsys)
+    assert (code, report["member"]) == ((0, True) if flip else (1, False))
+    _, verdict = run_json(["order", "--exact", "--g1", x, "--g2", y], capsys)
+    assert report["member"] == (verdict["relation"] in ("GEQ", "EQUAL"))
+    if not flip:  # log(P_1(y) / P_1(x)) = log(10^400 / 6)
+        assert report["functional"]["k"] == 1
+        assert math.isclose(report["functional"]["margin"],
+                            400 * math.log(10) - math.log(6))
+
+
+def test_witness_past_float_range_exact(tmp_path, capsys):
+    x, y = past_float_range(tmp_path)
+    code, report = run_json(["witness", "--exact", "--h1", x, "--h2", y], capsys)
+    assert code == 0
+    assert (report["k"], report["m"]) == (1, 1)
+    assert Fraction(report["chi2"]) > Fraction(report["chi1"]) == Fraction(5, 2)
+    code, report = run_json(["witness", "--exact", "--h1", y, "--h2", x], capsys)
+    assert (code, report["error"]) == (1, "OrderHolds")
+
+
 # --- imports ---------------------------------------------------------------------
 
 MATRIX_MODULES = ("numpy", "scipy", "kostant.cmjd", "kostant.linalg",

@@ -3,7 +3,8 @@ matrix code, and symchar reads a rep spec tree in one walk. The package,
 the CLI and serialize import matrix code only inside the functions that
 use it, so importing them loads neither numpy nor scipy. Checked on the
 source with ast, and for the moduli layers also on sys.modules in a fresh
-interpreter. No module imports dataclasses (kostant._frozen stands in) or
+interpreter. The CLI imports no private name of another module. No
+module imports dataclasses (kostant._frozen stands in) or
 scipy.linalg (kostant.linalg loads scipy's LAPACK extension alone), and
 none but cmjd's independent check calls an eigensolver.
 Every package export is used by some other part of the package, and every
@@ -152,6 +153,35 @@ def test_eager_imports_skip_functions_and_type_checking(tmp_path):
                       "    from .selfcheck import run_suites\n")
     assert imported_modules(source, eager=True) == [
         "typing", "kostant.cmjd", "kostant.selfcheck"]
+
+
+def private_imports(path: Path) -> list[str]:
+    """Each import of an underscore-prefixed name from a kostant module,
+    as "from module import name"."""
+    return [f"from {'.' * node.level}{node.module or ''} import {alias.name}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "kostant")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_cli_imports_no_private_name():
+    # the CLI loads, calls and serializes; every decision stays behind the
+    # public names of the module that makes it
+    assert private_imports(PACKAGE / "cli.py") == []
+
+
+def test_private_import_checker(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text("from .order import GEQ, _LogRatio\n"
+                      "from ._frozen import frozen\n"
+                      "from kostant.symchar import _h_scan\n"
+                      "from os import _exit\n"
+                      "def f():\n"
+                      "    from . import _frozen\n")
+    assert private_imports(source) == [
+        "from .order import _LogRatio", "from kostant.symchar import _h_scan",
+        "from . import _frozen"]
 
 
 def test_one_walk_over_the_spec_tree():

@@ -36,17 +36,19 @@ from kostant import (
     find_separating_character,
     kostant_compare,
     permutohedron_certificate,
+    rep_moduli,
     schur,
     separating_sym_power,
     spectral_radius_rep,
     verify_certificate,
 )
-from kostant import order
+from kostant import order, symchar
 from kostant.order import PAPER_EXACT_LIMIT, _least_paper_degree
 
 from conftest import (
     brute_force_h,
     dominated_moduli_pair,
+    exact_sl_moduli,
     hull_member_oracle,
     mixed_logs,
     normalized_prefix_oracle,
@@ -357,6 +359,49 @@ class TestPermutohedronCertificate:
                 assert verify_functional(result, x_logs, y_logs)
                 found += 1
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_moduli_pair_reads_the_order_verdict(self, exact):
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            n = int(rng.integers(2, 7))
+            x, y = (exact_sl_moduli(rng, n) if exact else random_sl_moduli(rng, n)
+                    for _ in range(2))
+            verdict = kostant_compare(x, y)
+            result = permutohedron_certificate(x, y)
+            if verdict.relation in (GEQ, EQUAL):
+                assert isinstance(result, TTransformCertificate)
+                assert len(result.steps) <= n - 1
+                assert verify_certificate(result) <= 1e-12
+                assert result.end.values == tuple(sorted(y.log_values(), reverse=True))
+                continue
+            k = verdict.failing_level
+            assert result.k == k
+            ratio = math.prod(y.values[:k]) / math.prod(x.values[:k])
+            assert result.margin > 0
+            assert math.isclose(result.margin, math.log(ratio), rel_tol=1e-12)
+            if not exact:  # floats: the answer on moduli is the answer on logs
+                assert result == permutohedron_certificate(x.log_values(), y.log_values())
+
+    def test_moduli_pair_past_float_range(self):
+        big = F(10 ** 400, 3)
+        x, y = ModuliVector.from_values([F(2), F(1, 2)]), ModuliVector.from_values([big, 1 / big])
+        functional = permutohedron_certificate(x, y)
+        assert functional.k == 1
+        assert math.isclose(functional.margin, 400 * math.log(10) - math.log(6))
+        chain = permutohedron_certificate(y, x)
+        assert isinstance(chain, TTransformCertificate)
+        assert chain.start.values == y.log_values()
+        assert verify_certificate(chain) <= 1e-12 * 920
+
+    def test_moduli_pair_total_is_exact(self):
+        # the float logs of these totals agree; the rational products do not
+        x = ModuliVector.from_values([F(2), F(1, 2)])
+        y = ModuliVector.from_values([F(2), F(1, 2) + F(1, 10 ** 20)])
+        with pytest.raises(SumMismatch):
+            permutohedron_certificate(x, y)
+        with pytest.raises(LengthMismatch):
+            permutohedron_certificate(x, ModuliVector.from_values([F(1)] * 3))
+
 
 class TestSeparatingSymPower:
     def test_paper_bound_anchor(self):
@@ -478,12 +523,12 @@ class TestSeparatingSymPower:
         # 2^1 = binom(2, 1) * 1^1: the chain cannot decide at m = 1
         monkeypatch.setattr(order, "_least_paper_degree", lambda *args: 1)
         calls = []
-        h_cmp = order._h_cmp
-        monkeypatch.setattr(order, "_h_cmp",
-                            lambda m, cv, dv: calls.append(m) or h_cmp(m, cv, dv))
+        h_compare = order._h_compare
+        monkeypatch.setattr(order, "_h_compare",
+                            lambda m, cv, dv: calls.append(m) or h_compare(m, cv, dv))
         assert separating_sym_power([F(2), F(1, 2)], [F(1), F(1)]) == (1, 1)
         assert calls == [1]
-        monkeypatch.setattr(order, "_h_cmp", lambda m, cv, dv: 0)
+        monkeypatch.setattr(order, "_h_compare", lambda m, cv, dv: (0, F(5, 2), F(2)))
         with pytest.raises(AssertionError):
             separating_sym_power([F(2), F(1, 2)], [F(1), F(1)])
 
@@ -515,6 +560,54 @@ class TestFindSeparatingCharacter:
         assert w.chi_1 < w.chi_2
         assert math.isclose(w.chi_1.log, complete_homogeneous_log(235, x))
         assert math.isclose(w.chi_2.log, complete_homogeneous_log(235, y))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_characters_are_those_of_the_spec(self, exact):
+        # chi1 and chi2 are the characters that `kostant char` reports for
+        # the witness spec; past float range, the logs of those characters
+        rng = np.random.default_rng(2026)
+        pairs = [] if exact else [([math.exp(v) for v in (3.5, 3.4, -6.9)],
+                                   [math.exp(v) for v in (3.51, -1.75, -1.76)])]
+        while len(pairs) < 30:
+            n = int(rng.integers(2, 6))
+            x, y = (exact_sl_moduli(rng, n) if exact else random_sl_moduli(rng, n, 2.0)
+                    for _ in range(2))
+            if kostant_compare(x, y).relation not in (GEQ, EQUAL):
+                pairs.append((x, y))
+        for x, y in pairs:
+            try:
+                w = find_separating_character(x, y)
+            except DimensionCap:
+                continue
+            for chi, v in ((w.chi_1, x), (w.chi_2, y)):
+                if isinstance(chi, LogValue):
+                    inner = rep_moduli(w.spec.inner, v, cap=None)
+                    assert chi.log == complete_homogeneous_log(w.m, inner)
+                else:
+                    assert chi == abs_character(w.spec, v, cap=None)
+                    assert isinstance(chi, Fraction) == exact
+            assert w.chi_1 < w.chi_2
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_one_evaluation_per_side_at_the_witness_degree(self, exact, monkeypatch):
+        # the degree scan makes one _h_scan pass per side; the witness then
+        # evaluates h_m once per side at m_min, _h_exact on rationals
+        calls = {"_h_scan": [], "_h_exact": []}
+        for name in calls:
+            original = getattr(symchar, name)
+
+            def counted(values, m, name=name, original=original):
+                calls[name].append(m)
+                return original(values, m)
+            monkeypatch.setattr(symchar, name, counted)
+            monkeypatch.setattr(order, name, counted)
+        x, y = [F(4), F(1, 2), F(1, 2)], [F(3), F(1), F(1, 3)]
+        if not exact:
+            x, y = ModuliVector.from_values(map(float, x)), ModuliVector.from_values(map(float, y))
+        w = find_separating_character(x, y)
+        assert (w.k, w.m) == (2, 1)
+        scans, evaluations = calls["_h_scan"][:2], calls["_h_scan"][2:] + calls["_h_exact"]
+        assert len(scans) == 2 and evaluations == [w.m, w.m]
 
     def test_dimension_cap_names_each_skipped_level(self):
         # h_1 separates, but the paper degree search overflows first

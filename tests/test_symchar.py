@@ -68,6 +68,20 @@ class TestModuliVector:
         v = ModuliVector.from_values([3.0, 2.0, 1.0]).normalized()
         assert abs(math.fsum(v.log_values())) < 1e-12
 
+    def test_logs_of_rationals_past_float_range(self):
+        big = F(10 ** 400, 3)
+        v = ModuliVector.from_values([big, F(7, 3), F(2, 10 ** 310), 1 / big])
+        logs = v.log_values()
+        # in range: the bits of math.log(float(v)); out of range (overflow,
+        # subnormal, underflow to 0): log p - log q
+        assert logs[1] == math.log(float(F(7, 3)))
+        for value, log in zip(v.values[::2], logs[::2]):
+            assert log == math.log(value.numerator) - math.log(value.denominator)
+        assert math.isclose(logs[0], 400 * math.log(10) - math.log(3), rel_tol=1e-15)
+        assert logs[0] == -logs[3]
+        floats = ModuliVector.from_values([2.5, 1e-310, 4.0])
+        assert floats.log_values() == tuple(math.log(v) for v in floats.values)
+
 
 class TestCompleteHomogeneous:
     def test_all_ones_counts_monomials(self):
