@@ -77,9 +77,8 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys(("CmjdReport", "CmjdTriple", "cmjd", "hyperbolic_log",
                      "validate_cmjd"), "cmjd"),
-    **dict.fromkeys(("ComplexRational", "SpectralDecomposition", "Spectrum",
-                     "eigen_spectrum", "mat_norm", "matrix_moduli",
-                     "moduli_from_eigenvalues", "spectral_projectors"), "linalg"),
+    **dict.fromkeys(("SpectralDecomposition", "Spectrum", "eigen_spectrum",
+                     "mat_norm", "matrix_moduli", "spectral_projectors"), "linalg"),
 }
 
 

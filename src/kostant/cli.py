@@ -88,11 +88,11 @@ def _load_moduli(path: str, config: JobConfig) -> ModuliVector:
     obj = _load_json(path)
     if isinstance(obj, dict) and "values" in obj:
         return serialize.parse_moduli(obj, exact=config.exact)
-    from .linalg import matrix_moduli, moduli_from_eigenvalues
-
     payload = serialize.parse_matrix(obj, exact=config.exact)
-    if config.exact and payload.eigenvalues is not None:
-        return moduli_from_eigenvalues(payload.eigenvalues)
+    if payload.moduli is not None:
+        return payload.moduli
+    from .linalg import matrix_moduli
+
     return matrix_moduli(payload.matrix, cluster_tol=config.tol)
 
 

@@ -2,14 +2,14 @@
 
 The one spectral kernel, spectral_projectors, and the two matrix helpers
 the decomposition layer needs (as_matrix, mat_norm). Every matrix is a
-complex128 numpy array: as_matrix converts what it is given. Exact-mode
-payloads keep their supplied eigenvalues as :class:`ComplexRational`
-scalars, whose rational moduli exact_modulus reads.
+complex128 numpy array: as_matrix converts what it is given, and this
+layer holds no exact scalars. An exact-mode payload's supplied
+eigenvalues become moduli where they are parsed (serialize.parse_matrix)
+and never reach it.
 
-This is also the one place where a matrix becomes moduli: matrix_moduli
-(the moduli of the kernel's clusters) and moduli_from_eigenvalues
-(supplied eigenvalues, exact when their moduli are rational) hand the
-order and character layers a symchar.ModuliVector, and nothing more.
+matrix_moduli is the one path from a matrix to moduli: the moduli of the
+kernel's clusters, handed to the order and character layers as a
+symchar.ModuliVector, and nothing more.
 
 No Jordan basis is ever formed. Each matrix gets one factorization, its
 complex Schur form, and ``spectral_projectors`` clusters the eigenvalues
@@ -37,9 +37,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import math
 import os
-from fractions import Fraction
 
 import numpy as np
 
@@ -76,129 +74,13 @@ PROJECTOR_NORM_CAP = 1e12
 SINGULARITY_THRESHOLD = 1e-13
 
 
-class ComplexRational:
-    """Gaussian rational a + b*i with Fraction components: an exact
-    complex scalar of an exact-mode payload. Supports the field operations.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ComplexRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ComplexRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ComplexRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero ComplexRational")
-        return ComplexRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __neg__(self):
-        return ComplexRational(-self.re, -self.im)
-
-    def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def __abs__(self):
-        return math.hypot(float(self.re), float(self.im))
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
-    def conjugate(self):
-        return ComplexRational(self.re, -self.im)
-
-    def modulus_squared(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    def __repr__(self):
-        return f"ComplexRational({self.re!r}, {self.im!r})"
-
-
-def _coerce(value):
-    if isinstance(value, ComplexRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return ComplexRational(value)
-    return NotImplemented
-
-
-def exact_modulus(z) -> Fraction | None:
-    """Exact |z| for a rational scalar, or None when it is irrational.
-
-    Works for Fraction, int, and ComplexRational whose |z|^2 happens to be
-    a perfect rational square.
-    """
-    if isinstance(z, (int, Fraction)):
-        return abs(Fraction(z))
-    if isinstance(z, ComplexRational):
-        m2 = z.modulus_squared()
-        num, den = m2.numerator, m2.denominator
-        rn, rd = math.isqrt(num), math.isqrt(den)
-        if rn * rn == num and rd * rd == den:
-            return Fraction(rn, rd)
-        return None
-    return None
-
-
 # --- matrix plumbing --------------------------------------------------------
 
 
 def as_matrix(a) -> np.ndarray:
-    """Validate and coerce to a square complex128 matrix; object arrays of
-    Fraction or ComplexRational convert entrywise by complex()."""
+    """Validate and coerce to a square complex128 matrix; object arrays,
+    of Fractions or Python complex numbers say, convert entrywise by
+    complex()."""
     arr = np.asarray(a)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
@@ -528,17 +410,3 @@ def matrix_moduli(g, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> ModuliVector:
     spectrum = eigen_spectrum(g, cluster_tol)
     return ModuliVector.from_values(spectrum.moduli())
 
-
-def moduli_from_eigenvalues(values) -> ModuliVector:
-    """Moduli of externally supplied eigenvalues; exact when possible.
-
-    Rational eigenvalues with exactly rational moduli yield an exact
-    vector; anything else falls back to floats.
-    """
-    exact: list[Fraction] = []
-    for z in values:
-        mod = exact_modulus(z)
-        if mod is None:
-            return ModuliVector.from_values([abs(complex(z)) for z in values])
-        exact.append(mod)
-    return ModuliVector.from_values(exact)

@@ -57,6 +57,7 @@ from .symchar import (
     _rational_log,
     _scaled_to_float,
     _scaled_to_log,
+    _scan_input,
     rep_dim,
     rep_moduli,
 )
@@ -72,11 +73,15 @@ INCOMPARABLE = "INCOMPARABLE"
 
 
 def _cmp(a, b) -> int:
-    """Three-way compare: exact when both sides are rational, else
-    float with a relative REL_SLACK band treated as a tie."""
+    """Three-way compare: exact when both sides are rational or a side
+    does not fit a float, else float with a relative REL_SLACK band
+    treated as a tie."""
     if _is_exact(a) and _is_exact(b):
         return (a > b) - (a < b)
-    fa, fb = float(a), float(b)
+    try:
+        fa, fb = float(a), float(b)
+    except OverflowError:  # a rational past float range needs no band
+        return (a > b) - (a < b)
     if abs(fa - fb) <= REL_SLACK * max(abs(fa), abs(fb), 1.0):
         return 0
     return 1 if fa > fb else -1
@@ -606,9 +611,8 @@ def _least_separating_degree(cv: ModuliVector, dv: ModuliVector,
                              m_stop: int) -> int | None:
     """Least m <= m_stop with h_m(cv) > h_m(dv) under the tie rule of
     _h_sign, from one _h_scan pass per side. Returns None when no degree
-    up to m_stop separates. Rational moduli are scanned as their exact
-    ratios to the largest, which are never above 1, with the log of the
-    largest from its integers: no modulus is converted to a float.
+    up to m_stop separates. Each side is read through symchar's
+    _scan_input, so no rational modulus is converted to a float.
     """
     (log_c, qc), (log_d, qd) = _scan_input(cv), _scan_input(dv)
     for m, (hc, hd) in enumerate(zip(_h_scan(qc, m_stop), _h_scan(qd, m_stop))):
@@ -616,15 +620,6 @@ def _least_separating_degree(cv: ModuliVector, dv: ModuliVector,
                          _scaled_to_log(log_d, m, *hd), cv, dv) > 0:
             return m
     return None
-
-
-def _scan_input(v: ModuliVector) -> tuple[float, tuple[float, ...]]:
-    """The log of the largest modulus, and the moduli that _h_scan reads."""
-    if not v.exact:
-        values = v.as_floats()
-        return math.log(values[0]), values
-    top = Fraction(v.values[0])
-    return _rational_log(top), tuple(float(value / top) for value in v.values)
 
 
 def find_separating_character(x, y, *,

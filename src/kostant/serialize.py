@@ -5,12 +5,15 @@ rational. A complex entry is {"re": scalar, "im": scalar}; either part
 may be left out (it is then 0), and a bare scalar, number or string, is
 a real entry: 2, "1/2" and {"re": "1/2"} are all accepted. Matrices are
 {"n": int, "entries": [[complex, ...], ...]} row-major, optionally with
-"eigenvalues": [complex, ...] supplied externally for the exact path.
-Moduli vectors are {"values": [scalar, ...]}. A witness reports its
-characters "chi1" and "chi2" as scalars, or as {"log": float}, the
-natural log, when either one is past float range. A positive rational
-with more digits than Python converts to a string (sys.int_max_str_digits)
-is written as {"log": float} too. Rep specs:
+"eigenvalues": [complex, ...] supplied externally. In exact mode
+parse_matrix turns them into the moduli that stand for the matrix: exact
+when every re^2 + im^2 is the square of a rational, else all floats.
+Without --exact they are parsed and left unused. Moduli vectors are
+{"values": [scalar, ...]}. A witness reports its characters "chi1" and
+"chi2" as scalars, or as {"log": float}, the natural log, when either
+one is past float range. A positive rational with more digits than
+Python converts to a string (sys.int_max_str_digits) is written as
+{"log": float} too. Rep specs:
 
     {"sym": m} | {"ext": k} | {"schur": [parts...]} | {"tensor": [a, b]}
     | {"dsum": [specs...]} | {"compose": {"outer": spec, "inner": spec}}
@@ -20,9 +23,9 @@ Schur parts JSON integers (not booleans); other types raise ParseError.
 
 Serialization keeps a fixed field order and shortest round-trip float
 formatting (Python's repr), so identical inputs produce byte-identical
-reports. numpy and the matrix layers (cmjd, linalg) are imported by the
-matrix and exact-complex functions that use them, so moduli payloads
-and reports need neither.
+reports. numpy is imported by the matrix functions that use it, so
+moduli payloads and reports do without it. No matrix layer (cmjd,
+linalg) is imported outside type checking.
 """
 
 from __future__ import annotations
@@ -62,11 +65,11 @@ if TYPE_CHECKING:
 
 @frozen
 class MatrixInput:
-    """Parsed matrix payload: complex matrix and optional externally
-    supplied eigenvalues (exact in exact mode)."""
+    """Parsed matrix payload: the complex matrix, and in exact mode the
+    moduli of its supplied eigenvalues (None without them)."""
 
     matrix: np.ndarray
-    eigenvalues: list | None
+    moduli: ModuliVector | None
 
 
 # --- scalar parsing -----------------------------------------------------------
@@ -99,7 +102,7 @@ def parse_scalar(value, exact: bool):
 
 def parse_complex(obj, exact: bool):
     """{"re": s, "im": s} or a bare real scalar -> complex (float mode) or
-    ComplexRational."""
+    the pair (re, im) of Fractions (exact mode)."""
     if isinstance(obj, (int, float, str)) and not isinstance(obj, bool):
         obj = {"re": obj, "im": 0}
     if not isinstance(obj, dict) or not set(obj) <= {"re", "im"}:
@@ -107,13 +110,23 @@ def parse_complex(obj, exact: bool):
     re = parse_scalar(obj.get("re", 0), exact)
     im = parse_scalar(obj.get("im", 0), exact)
     if exact:
-        from .linalg import ComplexRational
-
-        if not isinstance(re, Fraction) or not isinstance(im, Fraction):
-            # floats are exact binary rationals; accept them
-            re, im = Fraction(re), Fraction(im)
-        return ComplexRational(re, im)
+        # floats are exact binary rationals; accept them
+        return Fraction(re), Fraction(im)
     return complex(_float(re), _float(im))
+
+
+def _eigenvalue_moduli(pairs) -> ModuliVector:
+    """|re + im i| of each exact pair: rational when every re^2 + im^2 is
+    the square of a rational, otherwise every modulus a float."""
+    exact = []
+    for re, im in pairs:
+        square = re * re + im * im
+        num, den = math.isqrt(square.numerator), math.isqrt(square.denominator)
+        if num * num != square.numerator or den * den != square.denominator:
+            return ModuliVector.from_values(
+                [abs(complex(_float(re), _float(im))) for re, im in pairs])
+        exact.append(Fraction(num, den))
+    return ModuliVector.from_values(exact)
 
 
 def scalar_to_json(value):
@@ -147,16 +160,19 @@ def parse_matrix(obj, exact: bool = False) -> MatrixInput:
     if len(entries) != n or any(not isinstance(r, list) or len(r) != n
                                 for r in entries):
         raise ParseError(f"matrix entries must form an {n} x {n} array")
-    # the matrix is complex128 in either mode; only eigenvalues stay exact
+    # the matrix is complex128 in either mode; only the moduli of its
+    # supplied eigenvalues may stay exact
     matrix = np.array([[parse_complex(e, False) for e in row] for row in entries],
                       dtype=complex)
-    eigenvalues = None
+    moduli = None
     if "eigenvalues" in obj:
         raw = obj["eigenvalues"]
         if not isinstance(raw, list) or len(raw) != n:
             raise ParseError("eigenvalues must list one value per dimension")
         eigenvalues = [parse_complex(e, exact) for e in raw]
-    return MatrixInput(matrix=matrix, eigenvalues=eigenvalues)
+        if exact:
+            moduli = _eigenvalue_moduli(eigenvalues)
+    return MatrixInput(matrix=matrix, moduli=moduli)
 
 
 def matrix_to_json(m) -> dict:

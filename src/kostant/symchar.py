@@ -22,6 +22,8 @@ Jacobi-Trudi entries of schur and the degree scan in order come from one
 recurrence, _h_scan: it runs on the moduli divided by the largest, so
 its row stays within binom(m+n-1, n-1), and it rescales by powers of two
 past a guard, so one pass gives h_m and log h_m at every degree.
+_scan_input makes its input: rational moduli become their exact ratios
+to the largest, so none past float range meets a float.
 complete_homogeneous raises Overflow exactly when h_m is not a finite
 float; complete_homogeneous_log has no such limit. _h_exact is the exact
 counterpart for rational input.
@@ -235,8 +237,20 @@ def complete_homogeneous_log(m: int, x) -> float:
     x = _as_moduli(x)
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    values = x.as_floats()
-    return _scaled_to_log(math.log(values[0]), m, *_last(_h_scan(values, m)))
+    log_top, values = _scan_input(x)
+    return _scaled_to_log(log_top, m, *_last(_h_scan(values, m)))
+
+
+def _scan_input(v: ModuliVector) -> tuple[float, tuple[float, ...]]:
+    """The log of the largest modulus, and the moduli that _h_scan reads:
+    rational moduli as their exact ratios to the largest, which are never
+    above 1, with that log from its integers, so that no modulus past
+    float range is converted to a float."""
+    if not v.exact:
+        values = v.as_floats()
+        return math.log(values[0]), values
+    top = Fraction(v.values[0])
+    return _rational_log(top), tuple(float(value / top) for value in v.values)
 
 
 def _h_exact(values: tuple[Fraction, ...], m_max: int):

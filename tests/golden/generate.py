@@ -3,8 +3,8 @@
 Each case is one `kostant` run: a subcommand, its input payloads and its
 extra flags, with the exit code and the exact report text it gave. The
 cases cover `order`, `certify`, `witness` and `char` on moduli and on
-matrix payloads that carry their eigenvalues, with and without
-`--exact`, every exit code from 0 to 3, and the near-tie pairs of
+matrix payloads that carry their eigenvalues, real and complex, with and
+without `--exact`, every exit code from 0 to 3, and the near-tie pairs of
 ROADMAP item 13. The inputs come from a seeded `random.Random`, so the
 same source gives the same corpus.
 
@@ -103,6 +103,34 @@ def triangular(rng: random.Random, n: int) -> dict:
     return {"entries": entries, "eigenvalues": eigenvalues}
 
 
+def complex_triangular(diagonal: list) -> dict:
+    """An upper-triangular matrix with the given diagonal of complex
+    eigenvalues and ones above it, and those eigenvalues."""
+    n = len(diagonal)
+    entries = [[diagonal[i] if i == j else int(j > i) for j in range(n)]
+               for i in range(n)]
+    return {"entries": entries, "eigenvalues": diagonal}
+
+
+# complex eigenvalues: moduli rational (3/5 + 4/5 i), irrational (1 + i:
+# every modulus falls back to a float), from float parts (0.6 + 0.8 i,
+# and 0.75 + 1.0 i of modulus 5/4), and mixed; each with rational moduli
+# of the same length and product one to compare against
+COMPLEX_EIGENVALUES = {
+    "rational": ([{"re": "3/5", "im": "4/5"}, {"re": "3/5", "im": "-4/5"}, 2, "1/2"],
+                 ["3", "1", "1/2", "2/3"]),
+    "irrational": ([{"re": 1, "im": 1}, {"re": 1, "im": -1}, "1/2"],
+                   ["3/2", "1", "2/3"]),
+    "float-parts": ([{"re": 0.6, "im": 0.8}, {"re": 0.6, "im": -0.8}, 2.0, 0.5],
+                    ["3", "1", "1/2", "2/3"]),
+    "mix-rational": ([{"re": "3/5", "im": "4/5"}, {"re": 0.75, "im": 1.0}, "-4/5"],
+                     ["3/2", "1", "2/3"]),
+    "mix": ([{"re": "3/5", "im": "4/5"}, {"re": 1, "im": 1}, {"re": 1, "im": -1},
+             {"re": 0.75, "im": 1.0}, "2/5"],
+            ["2", "3/2", "1", "1/2", "2/3"]),
+}
+
+
 SPECS = [{"sym": 3}, {"ext": 2}, {"schur": [2, 1]},
          {"tensor": [{"sym": 1}, {"ext": 1}]},
          {"dsum": [{"sym": 2}, {"ext": 1}]},
@@ -178,6 +206,16 @@ def build_cases() -> list[dict]:
         add(f"{tag}-certify", "certify", unipotent, identity, flags)
         add(f"{tag}-certify-rev", "certify", identity, unipotent, flags)
         add(f"{tag}-witness", "witness", identity, unipotent, flags)
+    for i, (kind, (diagonal, values)) in enumerate(COMPLEX_EIGENVALUES.items()):
+        g, other = complex_triangular(diagonal), moduli(values)
+        for flags in ([], ["--exact"]):
+            tag = f"complex-{kind}" + ("-exact" if flags else "")
+            add(f"{tag}-order", "order", g, other, flags)
+            add(f"{tag}-certify", "certify", g, other, flags)
+            add(f"{tag}-certify-rev", "certify", other, g, flags)
+            add(f"{tag}-witness", "witness", other, g, flags)
+            add(f"{tag}-witness-rev", "witness", g, other, flags)
+            add(f"{tag}-char", "char", SPECS[i], g, flags)
 
     # exit 2: input errors; exit 3: numerical failures
     three, two = moduli(["2", "1", "1/2"]), moduli(["2", "1/2"])

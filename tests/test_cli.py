@@ -11,10 +11,13 @@ from fractions import Fraction
 from types import ModuleType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kostant
 from kostant import complete_homogeneous
 from kostant.cli import main
+from kostant.serialize import parse_matrix
 
 
 @pytest.fixture
@@ -109,6 +112,9 @@ def test_unwritable_out_is_an_input_error(inputs, tmp_path, capsys):
     ("x", {"values": [10 ** 400, 1]}),
     ("g", {"entries": [[10 ** 400, 0], [0, 1]]}),
     ("x --exact", {"entries": [[10 ** 400, 0], [0, 1]]}),
+    # an irrational modulus past float range among supplied eigenvalues
+    ("x --exact", {"entries": [[1, 0], [0, 1]],
+                   "eigenvalues": [{"re": 10 ** 400, "im": 1}, 1]}),
 ])
 def test_malformed_payloads_are_parse_errors(key, payload, inputs, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -166,6 +172,45 @@ def test_rational_string_entries(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["relation"] == "EQUAL"
     assert report["moduli_1"] == ["2", "1/2"]
+
+
+def pythagorean(scale: Fraction, m: int, n: int, swap: bool, signs: tuple):
+    """An eigenvalue s (m^2 - n^2) + s (2 m n) i, parts in either order and
+    of either sign, as a payload entry, and its modulus s (m^2 + n^2)."""
+    re, im = scale * (m * m - n * n), scale * 2 * m * n
+    if swap:
+        re, im = im, re
+    entry = {"re": str(signs[0] * re), "im": str(signs[1] * im)}
+    return entry, scale * (m * m + n * n)
+
+
+RATIONAL_EIGENVALUES = st.lists(st.builds(
+    pythagorean, st.fractions(min_value=Fraction(1, 10 ** 6), max_value=10 ** 6),
+    st.integers(1, 50), st.integers(0, 50), st.booleans(),
+    st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1]))),
+    min_size=1, max_size=5)
+
+
+def eigenvalue_payload(entries) -> dict:
+    n = len(entries)
+    return {"entries": [[0] * n for _ in range(n)], "eigenvalues": entries}
+
+
+@settings(max_examples=100, deadline=None)
+@given(RATIONAL_EIGENVALUES, st.fractions(min_value=Fraction(1, 10 ** 6),
+                                          max_value=10 ** 6), st.integers(0, 5))
+def test_supplied_eigenvalues_parse_to_their_moduli(pairs, scale, at):
+    entries, moduli = [entry for entry, _ in pairs], [m for _, m in pairs]
+    exact = parse_matrix(eigenvalue_payload(entries), exact=True).moduli
+    assert exact.exact and exact.values == tuple(sorted(moduli, reverse=True))
+    # s + s i has modulus s sqrt(2): every modulus becomes a float
+    entries.insert(at, {"re": str(scale), "im": str(scale)})
+    floats = parse_matrix(eigenvalue_payload(entries), exact=True).moduli
+    assert all(type(v) is float for v in floats.values)
+    assert floats.values == tuple(sorted(
+        (abs(complex(float(Fraction(e["re"])), float(Fraction(e["im"]))))
+         for e in entries), reverse=True))
+    assert parse_matrix(eigenvalue_payload(entries), exact=False).moduli is None
 
 
 def run_json(argv, capsys):
@@ -295,6 +340,21 @@ def test_witness_past_float_range_exact(tmp_path, capsys):
     assert (code, report["error"]) == (1, "OrderHolds")
 
 
+def test_witness_past_float_range_mixed(tmp_path, capsys):
+    # floats against rationals that do not fit a float: the spectral
+    # radii are compared exactly
+    _, y = past_float_range(tmp_path)
+    x = tmp_path / "floats.json"
+    x.write_text(json.dumps({"values": [2.0, 0.5]}))
+    code, report = run_json(["witness", "--h1", str(x), "--h2", y], capsys)
+    assert code == 0
+    assert (report["k"], report["m"], report["chi1"]) == (1, 1, 2.5)
+    big = Fraction(10 ** 400, 3)
+    assert Fraction(report["chi2"]) == big + 1 / big
+    code, report = run_json(["witness", "--h1", y, "--h2", str(x)], capsys)
+    assert (code, report["error"]) == (1, "OrderHolds")
+
+
 # --- imports ---------------------------------------------------------------------
 
 MATRIX_MODULES = ("numpy", "scipy", "kostant.cmjd", "kostant.linalg",
@@ -303,7 +363,7 @@ MATRIX_MODULES = ("numpy", "scipy", "kostant.cmjd", "kostant.linalg",
 # and the inspect module that it imports
 STARTUP_COSTS = ("dataclasses", "inspect")
 EXPORTS = """
-    BadIndex CmjdReport CmjdTriple ComplexRational Compose DimensionCap
+    BadIndex CmjdReport CmjdTriple Compose DimensionCap
     DirectSum EQUAL Ext GEQ INCOMPARABLE IllConditioned KostantError LEQ
     LengthMismatch LogValue LogVector ModuliVector NonConvergence NonPositive
     NotHyperbolic NotSeparable OrderHolds OrderVerdict Overflow
@@ -312,8 +372,7 @@ EXPORTS = """
     TTransformCertificate Tensor abs_character apply_t_transforms
     cmjd complete_homogeneous complete_homogeneous_log
     eigen_spectrum elementary find_separating_character hyperbolic_log
-    kostant_compare mat_norm matrix_moduli
-    moduli_from_eigenvalues permutohedron_certificate
+    kostant_compare mat_norm matrix_moduli permutohedron_certificate
     rep_dim rep_moduli schur separating_sym_power spectral_projectors
     spectral_radius_rep validate_cmjd verify_certificate
 """.split()

@@ -68,8 +68,8 @@ VALUES = [
     (_LogRatio.of(Fraction(3), Fraction(2)),
      "_LogRatio(ratio=Fraction(3, 2), log=0.4054651081081644, "
      "magnitude=0.4054651081081644)"),
-    (MatrixInput(matrix=((1, 0), (0, 1)), eigenvalues=None),
-     "MatrixInput(matrix=((1, 0), (0, 1)), eigenvalues=None)"),
+    (MatrixInput(matrix=((1, 0), (0, 1)), moduli=None),
+     "MatrixInput(matrix=((1, 0), (0, 1)), moduli=None)"),
     (JobConfig("order", inputs={"g1": "x.json", "g2": "y.json"}),
      "JobConfig(command='order', inputs={'g1': 'x.json', 'g2': 'y.json'}, tol=1e-08, "
      "exact=False, dim_cap=1000000, out=None, suites=None, inject_fault=False)"),

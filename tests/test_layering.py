@@ -3,7 +3,9 @@ matrix code, and symchar reads a rep spec tree in one walk. The package,
 the CLI and serialize import matrix code only inside the functions that
 use it, so importing them loads neither numpy nor scipy. Checked on the
 source with ast, and for the moduli layers also on sys.modules in a fresh
-interpreter. The CLI imports no private name of another module. No
+interpreter. serialize never imports linalg, so an exact comparison of
+matrices that supply their eigenvalues loads neither linalg nor scipy's
+LAPACK extension. The CLI imports no private name of another module. No
 module imports dataclasses (kostant._frozen stands in) or
 scipy.linalg (kostant.linalg loads scipy's LAPACK extension alone), and
 none but cmjd's independent check calls an eigensolver.
@@ -11,6 +13,7 @@ Every package export is used by some other part of the package, and every
 lazy export names a definition in its module."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -66,6 +69,31 @@ def test_front_modules_import_matrix_code_in_functions_only(module):
     bad = [name for name in imported_modules(PACKAGE / module, eager=True)
            if is_forbidden(name)]
     assert bad == []
+
+
+def test_serialize_never_imports_linalg():
+    # supplied eigenvalues become moduli where they are parsed; no function
+    # of serialize needs the matrix kernels either
+    assert "kostant.linalg" not in imported_modules(PACKAGE / "serialize.py")
+
+
+def test_exact_order_on_supplied_eigenvalues_loads_no_linalg(tmp_path):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"entries": [[2, 1], [0, "1/2"]],
+                             "eigenvalues": [{"re": "6/5", "im": "8/5"}, "1/2"]}))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from kostant.cli import main\n"
+         f"code = main(['order', '--exact', '--g1', {str(g)!r}, '--g2', {str(g)!r}, "
+         f"'--out', {str(tmp_path / 'report.json')!r}])\n"
+         "print(code, *sys.modules)\n"],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60,
+        capture_output=True, text=True, check=True).stdout.split()
+    assert out[0] == "0"
+    assert json.loads((tmp_path / "report.json").read_text())["moduli_1"] == ["2", "1/2"]
+    assert "kostant.linalg" not in out
+    assert [name for name in out if name.endswith("_flapack")] == []
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

@@ -35,7 +35,7 @@ from kostant import (
     schur,
     spectral_radius_rep,
 )
-from kostant.symchar import _det, _h_exact, _last
+from kostant.symchar import _det, _h_exact, _h_scan, _last, _scaled_to_log
 
 from conftest import (
     brute_force_h,
@@ -144,6 +144,21 @@ class TestCompleteHomogeneous:
         eps = sys.float_info.epsilon
         top = abs(math.log(x.values[0]))
         assert abs(got - want) <= (x.n * m + 2 * m * top + 1) * eps
+
+    def test_log_of_exact_moduli_past_float_range(self):
+        x = [F(10 ** 400, 3), F(3, 10 ** 400)]
+        h = complete_homogeneous(3, x)
+        want = math.log(h.numerator) - math.log(h.denominator)
+        assert math.isclose(complete_homogeneous_log(3, x), want, rel_tol=1e-14)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=6),
+           st.integers(0, 300))
+    def test_log_of_float_moduli_scans_them_as_given(self, values, m):
+        # float moduli reach _h_scan unchanged, so the log keeps its bits
+        x = ModuliVector.from_values(values)
+        want = _scaled_to_log(math.log(x.values[0]), m, *_last(_h_scan(x.values, m)))
+        assert complete_homogeneous_log(m, x) == want
 
     def test_rescaled_rows_match_binomial(self):
         # h_m(2, ..., 2) = 2^m binom(m+n-1, n-1), past the row guard here
