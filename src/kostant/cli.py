@@ -46,7 +46,13 @@ from .order import (
     kostant_compare,
     permutohedron_certificate,
 )
-from .symchar import ModuliVector, abs_character, rep_dim, spectral_radius_rep
+from .symchar import (
+    DEFAULT_MODULI_CAP,
+    ModuliVector,
+    abs_character,
+    rep_dim,
+    spectral_radius_rep,
+)
 
 INPUT_ERRORS = (ParseError, LengthMismatch, NonPositive, BadIndex,
                 SumMismatch, DimensionCap, ValueError)
@@ -61,7 +67,7 @@ class JobConfig:
     inputs: dict[str, str]
     tol: float = 1e-8
     exact: bool = False
-    dim_cap: int = 10 ** 6
+    dim_cap: int = DEFAULT_MODULI_CAP
     out: str | None = None
     suites: tuple[str, ...] | None = None
     inject_fault: bool = False
@@ -210,12 +216,12 @@ def _build_parser() -> argparse.ArgumentParser:
         """The flags the subcommand reads, then --out; tol is the help
         text of --tol, or None without it."""
         if tol:
-            p.add_argument("--tol", type=float, default=1e-8, help=tol)
+            p.add_argument("--tol", type=float, default=JobConfig.tol, help=tol)
         if exact:
             p.add_argument("--exact", action="store_true",
                            help="parse rational inputs and compare exactly")
         if dim_cap:
-            p.add_argument("--dim-cap", type=int, default=10 ** 6,
+            p.add_argument("--dim-cap", type=int, default=JobConfig.dim_cap,
                            help="largest admissible representation dimension")
         p.add_argument("--out", help="write the JSON report to this path")
 

@@ -21,6 +21,7 @@ import numpy as np
 from ._frozen import frozen
 from .errors import IllConditioned, NotHyperbolic, Singular
 from .linalg import (
+    DEFAULT_CLUSTER_TOL,
     SINGULARITY_THRESHOLD,
     SpectralDecomposition,
     as_matrix,
@@ -28,7 +29,7 @@ from .linalg import (
     spectral_projectors,
 )
 
-DEFAULT_TOL = 1e-8
+DEFAULT_TOL = DEFAULT_CLUSTER_TOL
 
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
 

@@ -19,11 +19,13 @@ filter on the logs, whose band is a proven bound on the rounding of the
 logs (libm's log correct to a few ulps) and of their sums, with integer
 products behind it for the levels inside the band
 (_normalized_prefix_comparisons); the hull membership of rational moduli
-in permutohedron_certificate is that verdict. The witness search scans
-h_m degrees with the one float h_m recurrence of symchar (_h_scan), and
-settles in-band h_m comparisons exactly under one tie rule (_h_sign);
-binary floats are rationals. A witness is accepted on the characters it
-reports, evaluated once per side (_h_compare).
+in permutohedron_certificate is that verdict, and one T-transform chain
+builder (_hlp_steps) serves integer and float certificates. Every h_m
+value comes from symchar's one h_m kernel: the witness search scans the
+logs of h_m degree by degree (_h_logs), and settles in-band h_m
+comparisons exactly under one tie rule (_h_sign); binary floats are
+rationals. A witness is accepted on the characters it reports, evaluated
+once per side (_h_compare, by _h_value).
 """
 
 from __future__ import annotations
@@ -40,24 +42,20 @@ from .errors import (
     LengthMismatch,
     NotSeparable,
     OrderHolds,
-    Overflow,
     SumMismatch,
 )
 from .symchar import (
+    DEFAULT_MODULI_CAP,
     Compose,
     Ext,
     ModuliVector,
     RepSpec,
     Sym,
     _as_moduli,
-    _h_exact,
-    _h_scan,
+    _h_exact_at,
+    _h_logs,
+    _h_value,
     _is_exact,
-    _last,
-    _rational_log,
-    _scaled_to_float,
-    _scaled_to_log,
-    _scan_input,
     rep_dim,
     rep_moduli,
 )
@@ -349,12 +347,12 @@ def permutohedron_certificate(x, y):
         den = math.lcm(*[v.denominator for v in lx.values + ly.values])
         xs = [v.numerator * (den // v.denominator) for v in lx.values]
         ys = [v.numerator * (den // v.denominator) for v in ly.values]
-        levels = _prefix_cmp(xs, ys)
+        scale = None
     else:
         xs, ys = lx.values, ly.values
         scale = _abs_scale(xs, ys)
-        levels = _prefix_cmp(xs, ys, scale) if not rational else [
-            *_normalized_prefix_comparisons(xm, ym), xm.product() != ym.product()]
+    levels = _prefix_cmp(xs, ys, scale) if not rational else [
+        *_normalized_prefix_comparisons(xm, ym), xm.product() != ym.product()]
     if levels[-1] != 0:
         raise SumMismatch(f"totals differ: {sum(lx.values)} vs {sum(ly.values)}")
     failing = next((k for k, c in enumerate(levels[:-1], start=1) if c < 0), None)
@@ -366,73 +364,45 @@ def permutohedron_certificate(x, y):
             math.prod(ym.values[:failing]), math.prod(xm.values[:failing])).log
         return SeparatingFunctional(k=failing, margin=margin, hull_max=px, value_at_y=py)
 
-    steps = _exact_hlp_steps(xs, ys) if exact else _hlp_steps(list(xs), list(ys), scale)
+    steps = _hlp_steps(list(xs), list(ys), scale)
     return TTransformCertificate(steps=tuple(steps), start=lx, end=ly)
 
 
-def _hlp_steps(work: list, target: list, scale: float) -> list[tuple[int, int, object]]:
+def _hlp_steps(work: list, target: list,
+               scale: float | None) -> list[tuple[int, int, object]]:
     """Hardy-Littlewood-Polya chain from work to target (both sorted desc).
 
     Each round averages the outermost mismatched pair just enough to pin
     one more coordinate to its target, preserving sortedness and
-    majorization; at most n-1 rounds are needed. Float input: differences
-    within 1e-14 * scale count as met.
+    majorization; at most n-1 rounds are needed. Without a scale, as in
+    _prefix_cmp, the entries are integers (rationals over a common
+    denominator) and the weights t = 1 - delta / gap exact Fractions.
+    Float input: differences within 1e-14 * scale count as met, and so
+    does float dust within ten times that left on one side only.
     """
-    thr = 1e-14 * (scale or 1.0)
+    thr = 0 if scale is None else 1e-14 * scale
     steps: list[tuple[int, int, object]] = []
     for _ in range(len(work)):
         diffs = [w - t for w, t in zip(work, target)]
-        if all(abs(float(d)) <= thr for d in diffs):
-            return steps
-        above = [i for i, d in enumerate(diffs) if d > thr]
-        if above:
-            j = max(above)
-            below = [i for i, d in enumerate(diffs) if i > j and d < -thr]
-        else:
-            below = []
-        if not above or not below:
-            # only float dust remains on one side
-            if max(abs(float(d)) for d in diffs) <= 10 * thr:
-                return steps
-            raise AssertionError(
-                "T-transform chain stalled; inputs not majorized?")
-        k = min(below)
-        delta = min(diffs[j], -diffs[k])
-        gap = work[j] - work[k]
-        t = 1 - delta / gap
-        steps.append((j, k, t))
-        work[j] = work[j] - delta
-        work[k] = work[k] + delta
-    raise AssertionError("T-transform chain did not converge; inputs not majorized?")
-
-
-def _exact_hlp_steps(work: list[int],
-                     target: list[int]) -> list[tuple[int, int, Fraction]]:
-    """The chain of _hlp_steps on integers (rationals over a common
-    denominator), with exact weights t = 1 - delta / gap. A step pins a
-    coordinate to its target for good, and changes only two coordinates,
-    so it updates only their two differences."""
-    diffs = list(map(sub, work, target))
-    steps: list[tuple[int, int, Fraction]] = []
-    while any(diffs):
         # j: the last coordinate above its target; k: the first one after
         # j below its target
         j = k = None
         for i, d in enumerate(diffs):
-            if d > 0:
+            if d > thr:
                 j, k = i, None
-            elif d < 0 and k is None and j is not None:
+            elif d < -thr and k is None and j is not None:
                 k = i
-        if k is None:
+        if k is None:  # every target met, or float dust on one side only
+            if max(map(abs, diffs)) <= 10 * thr:
+                return steps
             raise AssertionError("T-transform chain stalled; inputs not majorized?")
         delta = min(diffs[j], -diffs[k])
         gap = work[j] - work[k]
-        steps.append((j, k, Fraction(gap - delta, gap)))
-        work[j] -= delta
-        work[k] += delta
-        diffs[j] -= delta
-        diffs[k] += delta
-    return steps
+        steps.append((j, k, Fraction(gap - delta, gap) if scale is None
+                      else 1 - delta / gap))
+        work[j] = work[j] - delta
+        work[k] = work[k] + delta
+    raise AssertionError("T-transform chain did not converge; inputs not majorized?")
 
 
 def apply_t_transforms(start, steps) -> list:
@@ -573,21 +543,6 @@ def _h_compare(m: int, cv: ModuliVector, dv: ModuliVector) -> tuple[int, object,
     return sign, h_c, h_d
 
 
-def _h_value(m: int, v: ModuliVector) -> tuple[object, float]:
-    """h_m(v) and its log: by _h_exact on rationals, with the log from the
-    value's integers; else from one _h_scan pass, None past float range."""
-    if v.exact:
-        h = _last(_h_exact(v.as_fractions(), m))
-        return h, _rational_log(h)
-    values = v.as_floats()
-    scaled = _last(_h_scan(values, m))
-    log = _scaled_to_log(math.log(values[0]), m, *scaled)
-    try:
-        return _scaled_to_float(values[0], m, *scaled), log
-    except Overflow:
-        return None, log
-
-
 def _h_sign(m: int, log_c: float, log_d: float, cv: ModuliVector,
             dv: ModuliVector) -> int:
     """The tie rule for h_m(cv) vs h_m(dv), given their logs.
@@ -602,28 +557,24 @@ def _h_sign(m: int, log_c: float, log_d: float, cv: ModuliVector,
         return 1 if log_c > log_d else -1
     if not (cv.exact and dv.exact) and m > EXACT_TIE_DEGREE_LIMIT:
         return 0
-    exact_c = _last(_h_exact(cv.as_fractions(), m))
-    exact_d = _last(_h_exact(dv.as_fractions(), m))
+    exact_c, exact_d = _h_exact_at(m, cv), _h_exact_at(m, dv)
     return (exact_c > exact_d) - (exact_c < exact_d)
 
 
 def _least_separating_degree(cv: ModuliVector, dv: ModuliVector,
                              m_stop: int) -> int | None:
     """Least m <= m_stop with h_m(cv) > h_m(dv) under the tie rule of
-    _h_sign, from one _h_scan pass per side. Returns None when no degree
-    up to m_stop separates. Each side is read through symchar's
-    _scan_input, so no rational modulus is converted to a float.
+    _h_sign, from the logs of one _h_scan pass per side (symchar._h_logs).
+    Returns None when no degree up to m_stop separates.
     """
-    (log_c, qc), (log_d, qd) = _scan_input(cv), _scan_input(dv)
-    for m, (hc, hd) in enumerate(zip(_h_scan(qc, m_stop), _h_scan(qd, m_stop))):
-        if m and _h_sign(m, _scaled_to_log(log_c, m, *hc),
-                         _scaled_to_log(log_d, m, *hd), cv, dv) > 0:
+    for m, (log_c, log_d) in enumerate(zip(_h_logs(cv, m_stop), _h_logs(dv, m_stop))):
+        if m and _h_sign(m, log_c, log_d, cv, dv) > 0:
             return m
     return None
 
 
-def find_separating_character(x, y, *,
-                              dim_cap: int | None = 10 ** 6) -> SeparatingWitness:
+def find_separating_character(
+        x, y, *, dim_cap: int | None = DEFAULT_MODULI_CAP) -> SeparatingWitness:
     """Construct a representation separating y strictly over x.
 
     Requires that x does not dominate y. The witness composes the m-th

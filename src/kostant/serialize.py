@@ -23,9 +23,10 @@ Schur parts JSON integers (not booleans); other types raise ParseError.
 
 Serialization keeps a fixed field order and shortest round-trip float
 formatting (Python's repr), so identical inputs produce byte-identical
-reports. numpy is imported by the matrix functions that use it, so
-moduli payloads and reports do without it. No matrix layer (cmjd,
-linalg) is imported outside type checking.
+reports. parse_matrix returns rows of Python complex numbers, and numpy
+is imported only by the functions that write matrices, so parsing any
+payload does without it. No matrix layer (cmjd, linalg) is imported
+outside type checking.
 """
 
 from __future__ import annotations
@@ -58,17 +59,15 @@ from .symchar import (
 )
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .cmjd import CmjdTriple
 
 
 @frozen
 class MatrixInput:
-    """Parsed matrix payload: the complex matrix, and in exact mode the
-    moduli of its supplied eigenvalues (None without them)."""
+    """Parsed matrix payload: the rows of the complex matrix, and in exact
+    mode the moduli of its supplied eigenvalues (None without them)."""
 
-    matrix: np.ndarray
+    matrix: list[list[complex]]
     moduli: ModuliVector | None
 
 
@@ -149,8 +148,6 @@ def complex_to_json(z) -> dict:
 
 
 def parse_matrix(obj, exact: bool = False) -> MatrixInput:
-    import numpy as np
-
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ParseError("matrix JSON must be an object with an 'entries' field")
     entries = obj["entries"]
@@ -160,10 +157,9 @@ def parse_matrix(obj, exact: bool = False) -> MatrixInput:
     if len(entries) != n or any(not isinstance(r, list) or len(r) != n
                                 for r in entries):
         raise ParseError(f"matrix entries must form an {n} x {n} array")
-    # the matrix is complex128 in either mode; only the moduli of its
-    # supplied eigenvalues may stay exact
-    matrix = np.array([[parse_complex(e, False) for e in row] for row in entries],
-                      dtype=complex)
+    # the matrix is complex in either mode (linalg.as_matrix makes it an
+    # array); only the moduli of its supplied eigenvalues may stay exact
+    matrix = [[parse_complex(e, False) for e in row] for row in entries]
     moduli = None
     if "eigenvalues" in obj:
         raw = obj["eigenvalues"]

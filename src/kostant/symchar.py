@@ -17,16 +17,19 @@ one); nothing here needs a matrix library. Evaluation is exact over
 Fractions when the input moduli are rational.
 Schur weights are read off Gelfand-Tsetlin patterns, one row at a time
 (_interlacing); Schur values come from Jacobi-Trudi.
-Every float h_m (complete homogeneous) value, its logarithm, the float
-Jacobi-Trudi entries of schur and the degree scan in order come from one
-recurrence, _h_scan: it runs on the moduli divided by the largest, so
-its row stays within binom(m+n-1, n-1), and it rescales by powers of two
-past a guard, so one pass gives h_m and log h_m at every degree.
-_scan_input makes its input: rational moduli become their exact ratios
-to the largest, so none past float range meets a float.
+Every h_m (complete homogeneous) evaluation of the package is made
+here. Float values, their logarithms and the float Jacobi-Trudi entries
+of schur come from one recurrence, _h_scan: it runs on the moduli
+divided by the largest, so its row stays within binom(m+n-1, n-1), and
+it rescales by powers of two past a guard, so one pass gives h_m and
+log h_m at every degree. Its (h, shift) form stays in this module:
+_h_value gives h_m at one degree with its log, and _h_logs yields log h_m
+at every degree up to a bound, reading rational moduli as their exact
+ratios to the largest, so none past float range meets a float (order's
+degree scan zips two of them). _h_exact is the exact counterpart for
+rational input, and _h_exact_at its value at one degree.
 complete_homogeneous raises Overflow exactly when h_m is not a finite
-float; complete_homogeneous_log has no such limit. _h_exact is the exact
-counterpart for rational input.
+float; complete_homogeneous_log has no such limit.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ _LN2 = math.log(2.0)
 
 
 def _is_exact(value) -> bool:
-    return isinstance(value, (int, Fraction))
+    return value.__class__ is not float and isinstance(value, (int, Fraction))
 
 
 def _rational_log(value) -> float:
@@ -226,10 +229,10 @@ def complete_homogeneous(m: int, x):
     x = _as_moduli(x)
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    if x.exact:
-        return _last(_h_exact(x.as_fractions(), m))
-    values = x.as_floats()
-    return _scaled_to_float(values[0], m, *_last(_h_scan(values, m)))
+    h = _h_value(m, x)[0]
+    if h is None:
+        raise Overflow(f"h_{m} exceeds float range; use complete_homogeneous_log")
+    return h
 
 
 def complete_homogeneous_log(m: int, x) -> float:
@@ -237,20 +240,44 @@ def complete_homogeneous_log(m: int, x) -> float:
     x = _as_moduli(x)
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    log_top, values = _scan_input(x)
-    return _scaled_to_log(log_top, m, *_last(_h_scan(values, m)))
+    return _last(_h_logs(x, m))
 
 
-def _scan_input(v: ModuliVector) -> tuple[float, tuple[float, ...]]:
-    """The log of the largest modulus, and the moduli that _h_scan reads:
-    rational moduli as their exact ratios to the largest, which are never
-    above 1, with that log from its integers, so that no modulus past
-    float range is converted to a float."""
-    if not v.exact:
+def _h_value(m: int, v: ModuliVector) -> tuple[object, float]:
+    """h_m(v) and its log: exactly on rationals, with the log from the
+    value's integers; else from one _h_scan pass, the value None past
+    float range."""
+    if v.exact:
+        h = _h_exact_at(m, v)
+        return h, _rational_log(h)
+    values = v.as_floats()
+    scaled = _last(_h_scan(values, m))
+    log = _scaled_to_log(math.log(values[0]), m, *scaled)
+    try:
+        return _scaled_to_float(values[0], m, *scaled), log
+    except Overflow:
+        return None, log
+
+
+def _h_logs(v: ModuliVector, m_max: int):
+    """Yield log h_m(v) for m = 0..m_max from one _h_scan pass. Rational
+    moduli are read as their exact ratios to the largest, which are never
+    above 1, with the log of the largest from its integers, so that no
+    modulus past float range is converted to a float."""
+    if v.exact:
+        top = Fraction(v.values[0])
+        log_top = _rational_log(top)
+        values = tuple(float(value / top) for value in v.values)
+    else:
         values = v.as_floats()
-        return math.log(values[0]), values
-    top = Fraction(v.values[0])
-    return _rational_log(top), tuple(float(value / top) for value in v.values)
+        log_top = math.log(values[0])
+    for m, (h, shift) in enumerate(_h_scan(values, m_max)):
+        yield _scaled_to_log(log_top, m, h, shift)
+
+
+def _h_exact_at(m: int, v: ModuliVector) -> Fraction:
+    """h_m(v) exactly; binary floats are rationals."""
+    return _last(_h_exact(v.as_fractions(), m))
 
 
 def _h_exact(values: tuple[Fraction, ...], m_max: int):

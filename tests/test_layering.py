@@ -3,12 +3,13 @@ matrix code, and symchar reads a rep spec tree in one walk. The package,
 the CLI and serialize import matrix code only inside the functions that
 use it, so importing them loads neither numpy nor scipy. Checked on the
 source with ast, and for the moduli layers also on sys.modules in a fresh
-interpreter. serialize never imports linalg, so an exact comparison of
-matrices that supply their eigenvalues loads neither linalg nor scipy's
-LAPACK extension. The CLI imports no private name of another module. No
-module imports dataclasses (kostant._frozen stands in) or
-scipy.linalg (kostant.linalg loads scipy's LAPACK extension alone), and
-none but cmjd's independent check calls an eigensolver.
+interpreter. serialize never imports linalg, and parses matrices into
+Python lists, so an exact comparison of matrices that supply their
+eigenvalues loads neither numpy, linalg nor scipy's LAPACK extension. The
+CLI imports no private name of another module, and order none of
+symchar's scaled h_m form. No module imports dataclasses (kostant._frozen
+stands in) or scipy.linalg (kostant.linalg loads scipy's LAPACK extension
+alone), and none but cmjd's independent check calls an eigensolver.
 Every package export is used by some other part of the package, and every
 lazy export names a definition in its module."""
 
@@ -93,6 +94,7 @@ def test_exact_order_on_supplied_eigenvalues_loads_no_linalg(tmp_path):
     assert out[0] == "0"
     assert json.loads((tmp_path / "report.json").read_text())["moduli_1"] == ["2", "1/2"]
     assert "kostant.linalg" not in out
+    assert "numpy" not in out
     assert [name for name in out if name.endswith("_flapack")] == []
 
 
@@ -197,6 +199,16 @@ def test_cli_imports_no_private_name():
     # the CLI loads, calls and serializes; every decision stays behind the
     # public names of the module that makes it
     assert private_imports(PACKAGE / "cli.py") == []
+
+
+SCALED_H = ("_h_scan", "_h_exact", "_last", "_scaled_to_float", "_scaled_to_log",
+            "_scan_input")
+
+
+def test_order_evaluates_h_m_through_symchar():
+    # symchar owns every h_m evaluation; its scaled (h, shift) form stays there
+    assert [line for line in private_imports(PACKAGE / "order.py")
+            if line.rsplit(" ", 1)[-1] in SCALED_H] == []
 
 
 def test_private_import_checker(tmp_path):

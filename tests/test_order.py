@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
 from decimal import Decimal, localcontext
@@ -403,6 +404,214 @@ class TestPermutohedronCertificate:
             permutohedron_certificate(x, ModuliVector.from_values([F(1)] * 3))
 
 
+def pinned_chain_pairs():
+    """Seeded log-vector pairs (tag, x, y), n = 2..9, with rational and
+    float entries: a member of the permutation hull of x, y made from x by
+    T-transforms, and a non-member, y made from x by a transfer outward."""
+    rng = random.Random(20240)
+    for n in range(2, 10):
+        for kind in ("exact", "float"):
+            if kind == "exact":
+                x = [Fraction(rng.randint(-40, 40), rng.randint(1, 6)) for _ in range(n)]
+            else:
+                x = [round(rng.uniform(-4.0, 4.0), 3) for _ in range(n)]
+            x.sort(reverse=True)
+            y = list(x)
+            for _ in range(n):
+                i, j = sorted(rng.sample(range(n), 2))
+                t = Fraction(rng.randint(0, 8), 8) if kind == "exact" else rng.random()
+                y[i], y[j] = t * y[i] + (1 - t) * y[j], (1 - t) * y[i] + t * y[j]
+            yield f"{kind}-member-n{n}", x, sorted(y, reverse=True)
+            i, j = sorted(rng.sample(range(n), 2))
+            d = (Fraction(rng.randint(1, 9), 4) if kind == "exact"
+                 else round(rng.uniform(0.1, 2.0), 3))
+            y = list(x)
+            y[i], y[j] = y[i] + d, y[j] - d
+            yield f"{kind}-nonmember-n{n}", x, sorted(y, reverse=True)
+
+
+# repr(permutohedron_certificate(x, y)) on pinned_chain_pairs: the steps and
+# weights of the integer and the float chain, pinned bit for bit
+PINNED_CHAINS = {
+    "exact-member-n2": (
+        "TTransformCertificate(steps=((0, 1, Fraction(7, 8)),), "
+        "start=LogVector(values=(Fraction(10, 1), Fraction(20, 3))), "
+        "end=LogVector(values=(Fraction(115, 12), Fraction(85, 12))))"),
+    "exact-nonmember-n2": (
+        "SeparatingFunctional(k=1, margin=Fraction(9, 4), hull_max=Fraction(10,"
+        " 1), value_at_y=Fraction(49, 4))"),
+    "float-member-n2": (
+        "TTransformCertificate(steps=((0, 1, 0.5612222030439298),), "
+        "start=LogVector(values=(3.086, -2.18)), "
+        "end=LogVector(values=(0.7753961212293335, 0.13060387877066593)))"),
+    "float-nonmember-n2": (
+        "SeparatingFunctional(k=1, margin=0.41000000000000014, hull_max=3.086, "
+        "value_at_y=3.496)"),
+    "exact-member-n3": (
+        "TTransformCertificate(steps=((1, 2, Fraction(2995, 3072)), (0, 2, "
+        "Fraction(4027, 5747))), start=LogVector(values=(Fraction(29, 3), "
+        "Fraction(34, 5), Fraction(18, 5))), end=LogVector(values=(Fraction(63,"
+        " 8), Fraction(6451, 960), Fraction(1751, 320))))"),
+    "exact-nonmember-n3": (
+        "SeparatingFunctional(k=1, margin=Fraction(1, 4), hull_max=Fraction(29,"
+        " 3), value_at_y=Fraction(119, 12))"),
+    "float-member-n3": (
+        "TTransformCertificate(steps=((1, 2, 0.6226698327763454), (0, 2, "
+        "0.688835941356804)), start=LogVector(values=(3.823, 3.607, 0.022)), "
+        "end=LogVector(values=(3.061185949917566, 2.254271350503198, "
+        "2.136542699579236)))"),
+    "float-nonmember-n3": (
+        "SeparatingFunctional(k=1, margin=0.8850000000000002, hull_max=3.823, "
+        "value_at_y=4.708)"),
+    "exact-member-n4": (
+        "TTransformCertificate(steps=((1, 2, Fraction(26613, 28160)), (1, 3, "
+        "Fraction(27173, 50677))), start=LogVector(values=(Fraction(16, 1), "
+        "Fraction(12, 1), Fraction(-19, 3), Fraction(-22, 1))), "
+        "end=LogVector(values=(Fraction(16, 1), Fraction(-6619, 1536), "
+        "Fraction(-2727, 512), Fraction(-643, 96))))"),
+    "exact-nonmember-n4": (
+        "SeparatingFunctional(k=3, margin=Fraction(7, 4), hull_max=Fraction(65,"
+        " 3), value_at_y=Fraction(281, 12))"),
+    "float-member-n4": (
+        "TTransformCertificate(steps=((1, 2, 0.8074122839566156), (0, 2, "
+        "0.8377436015173642), (0, 3, 0.8558855408381913)), "
+        "start=LogVector(values=(1.921, 0.33, -1.078, -1.128)), "
+        "end=LogVector(values=(1.1027724344686973, 0.05883649581091476, "
+        "-0.36422757035114217, -0.7523813599284699)))"),
+    "float-nonmember-n4": (
+        "SeparatingFunctional(k=3, margin=1.0519999999999998, "
+        "hull_max=1.1729999999999998, value_at_y=2.2249999999999996)"),
+    "exact-member-n5": (
+        "TTransformCertificate(steps=((0, 1, Fraction(9101, 9280)), (0, 2, "
+        "Fraction(8961, 10189)), (0, 3, Fraction(7733, 10033)), (0, 4, "
+        "Fraction(7733, 9605))), start=LogVector(values=(Fraction(37, 1), "
+        "Fraction(8, 1), Fraction(23, 5), Fraction(5, 4), Fraction(-23, 5))), "
+        "end=LogVector(values=(Fraction(6261, 320), Fraction(2739, 320), "
+        "Fraction(135, 16), Fraction(135, 16), Fraction(5, 4))))"),
+    "exact-nonmember-n5": (
+        "SeparatingFunctional(k=2, margin=Fraction(3, 4), hull_max=Fraction(45,"
+        " 1), value_at_y=Fraction(183, 4))"),
+    "float-member-n5": (
+        "TTransformCertificate(steps=((3, 4, 0.5449052069274631), (1, 2, "
+        "0.9503974674038059), (0, 2, 0.6754109988266315), (0, 4, "
+        "0.9521262031172348)), start=LogVector(values=(3.611, 2.292, -0.057, "
+        "-0.209, -3.598)), end=LogVector(values=(2.242129400390668, "
+        "2.17548365093154, 1.2122888800078766, -1.7513162537228275, "
+        "-1.8395856776072572)))"),
+    "float-nonmember-n5": (
+        "SeparatingFunctional(k=1, margin=1.916, hull_max=3.611, "
+        "value_at_y=5.527)"),
+    "exact-member-n6": (
+        "TTransformCertificate(steps=((4, 5, Fraction(3715, 4608)), (1, 2, "
+        "Fraction(195, 256)), (1, 3, Fraction(2819, 2950)), (1, 5, "
+        "Fraction(22601, 22933)), (0, 5, Fraction(26493, 27197))), "
+        "start=LogVector(values=(Fraction(13, 2), Fraction(3, 1), Fraction(1, "
+        "1), Fraction(-9, 1), Fraction(-19, 2), Fraction(-23, 1))), "
+        "end=LogVector(values=(Fraction(93, 16), Fraction(27, 16), "
+        "Fraction(189, 128), Fraction(-2173, 256), Fraction(-12407, 1024), "
+        "Fraction(-19837, 1024))))"),
+    "exact-nonmember-n6": (
+        "SeparatingFunctional(k=1, margin=Fraction(5, 4), hull_max=Fraction(13,"
+        " 2), value_at_y=Fraction(31, 4))"),
+    "float-member-n6": (
+        "TTransformCertificate(steps=((1, 2, 0.667852588776858), (1, 3, "
+        "0.8014705069486032), (0, 3, 0.9552441927931739), (0, 4, "
+        "0.7960554734959719), (0, 5, 0.7146461417951266)), "
+        "start=LogVector(values=(3.457, 0.663, -0.639, -1.852, -3.156, "
+        "-3.762)), end=LogVector(values=(0.30854977726026384, "
+        "-0.18290234800345334, -0.2065440705874693, -1.2194491291488454, "
+        "-1.852, -2.136654229520497)))"),
+    "float-nonmember-n6": (
+        "SeparatingFunctional(k=1, margin=1.3999999999999995, hull_max=3.457, "
+        "value_at_y=4.856999999999999)"),
+    "exact-member-n7": (
+        "TTransformCertificate(steps=((5, 6, Fraction(286163, 286720)), (4, 6, "
+        "Fraction(292819, 294355)), (1, 2, Fraction(638709, 1114112)), (0, 2, "
+        "Fraction(1734912, 1883893)), (0, 6, Fraction(4509003, 5994659))), "
+        "start=LogVector(values=(Fraction(32, 3), Fraction(15, 2), Fraction(14,"
+        " 3), Fraction(2, 1), Fraction(1, 1), Fraction(5, 6), Fraction(-5, "
+        "1))), end=LogVector(values=(Fraction(2559667, 393216), "
+        "Fraction(2473717, 393216), Fraction(9607, 1536), Fraction(2, 1), "
+        "Fraction(31, 32), Fraction(40403, 49152), Fraction(-2415, 2048))))"),
+    "exact-nonmember-n7": (
+        "SeparatingFunctional(k=3, margin=Fraction(1, 4), "
+        "hull_max=Fraction(137, 6), value_at_y=Fraction(277, 12))"),
+    "float-member-n7": (
+        "TTransformCertificate(steps=((3, 4, 0.5123995182696115), (3, 5, "
+        "0.9702946245915972), (2, 5, 0.6032380320899111), (1, 5, "
+        "0.8606265178650777), (1, 6, 0.8447294932279046), (0, 6, "
+        "0.7158411321284266)), start=LogVector(values=(3.668, 2.247, 1.397, "
+        "0.953, -1.849, -2.719, -3.591)), "
+        "end=LogVector(values=(1.8426307296806097, 0.953, -0.2088968524548472, "
+        "-0.4817495245919517, -0.4827434501914512, -0.5858470011532115, "
+        "-0.930393901289148)))"),
+    "float-nonmember-n7": (
+        "SeparatingFunctional(k=1, margin=0.44700000000000006, hull_max=3.668, "
+        "value_at_y=4.115)"),
+    "exact-member-n8": (
+        "TTransformCertificate(steps=((4, 5, Fraction(6149, 8064)), (3, 5, "
+        "Fraction(16184, 18821)), (1, 5, Fraction(10089, 10478)), (1, 6, "
+        "Fraction(13633, 14171)), (0, 6, Fraction(3002, 3457)), (0, 7, "
+        "Fraction(59, 77))), start=LogVector(values=(Fraction(27, 2), "
+        "Fraction(13, 2), Fraction(7, 2), Fraction(-1, 5), Fraction(-7, 2), "
+        "Fraction(-28, 5), Fraction(-26, 3), Fraction(-11, 1))), "
+        "end=LogVector(values=(Fraction(179, 32), Fraction(1771, 320), "
+        "Fraction(7, 2), Fraction(-227, 256), Fraction(-3071, 768), "
+        "Fraction(-1283, 320), Fraction(-421, 80), Fraction(-95, 16))))"),
+    "exact-nonmember-n8": (
+        "SeparatingFunctional(k=2, margin=Fraction(2, 1), hull_max=Fraction(20,"
+        " 1), value_at_y=Fraction(22, 1))"),
+    "float-member-n8": (
+        "TTransformCertificate(steps=((3, 4, 0.8582390530414372), (2, 4, "
+        "0.6921518408488376), (2, 5, 0.6900449310333479), (1, 5, "
+        "0.799295526811459), (1, 6, 0.7158696575070026), (0, 6, "
+        "0.7307924037216844), (0, 7, 0.805235794353492)), "
+        "start=LogVector(values=(3.501, 3.01, 2.963, 1.269, -0.44, -1.105, "
+        "-2.19, -3.069)), end=LogVector(values=(1.269, 1.0791172439996386, "
+        "1.03067175603619, 1.026730541647816, 0.7752945371713205, "
+        "0.4876656359270579, 0.29027839853198445, -2.0197581133140075)))"),
+    "float-nonmember-n8": (
+        "SeparatingFunctional(k=1, margin=0.7559999999999998, hull_max=3.501, "
+        "value_at_y=4.257)"),
+    "exact-member-n9": (
+        "TTransformCertificate(steps=((5, 8, Fraction(1065, 1168)), (3, 8, "
+        "Fraction(87, 103)), (2, 8, Fraction(10187, 10888)), (0, 1, Fraction(5,"
+        " 8)), (0, 8, Fraction(19488, 21155))), "
+        "start=LogVector(values=(Fraction(40, 1), Fraction(27, 2), Fraction(3, "
+        "2), Fraction(1, 3), Fraction(-21, 4), Fraction(-29, 3), Fraction(-13, "
+        "1), Fraction(-16, 1), Fraction(-34, 1))), "
+        "end=LogVector(values=(Fraction(9877, 384), Fraction(375, 16), "
+        "Fraction(-125, 384), Fraction(-14, 3), Fraction(-21, 4), "
+        "Fraction(-189, 16), Fraction(-13, 1), Fraction(-16, 1), Fraction(-331,"
+        " 16))))"),
+    "exact-nonmember-n9": (
+        "SeparatingFunctional(k=3, margin=Fraction(1, 2), hull_max=Fraction(55,"
+        " 1), value_at_y=Fraction(111, 2))"),
+    "float-member-n9": (
+        "TTransformCertificate(steps=((4, 5, 0.6640249350070415), (3, 5, "
+        "0.8207747154315795), (3, 6, 0.8987263539668178), (2, 6, "
+        "0.7924765465658923), (2, 7, 0.9262611963266336), (1, 7, "
+        "0.6811946966769185), (1, 8, 0.8899374230084588), (0, 8, "
+        "0.7022397368062085)), start=LogVector(values=(3.172, 3.0, 1.232, "
+        "0.475, 0.133, -1.144, -1.388, -2.865, -3.907)), "
+        "end=LogVector(values=(1.232, 0.650862410048091, 0.45838843915913763, "
+        "0.09465502688754703, -0.29604015799600786, -0.5016889506958339, "
+        "-0.7118862606337026, -0.8149819186068491, -1.403308588162382)))"),
+    "float-nonmember-n9": (
+        "SeparatingFunctional(k=4, margin=0.5040000000000004, "
+        "hull_max=7.8790000000000004, value_at_y=8.383000000000001)"),
+}
+
+
+PINNED_PAIRS = {tag: (x, y) for tag, x, y in pinned_chain_pairs()}
+
+
+@pytest.mark.parametrize("tag", PINNED_CHAINS)
+def test_pinned_certificates(tag):
+    x, y = PINNED_PAIRS[tag]
+    assert repr(permutohedron_certificate(x, y)) == PINNED_CHAINS[tag]
+
+
 class TestSeparatingSymPower:
     def test_paper_bound_anchor(self):
         # ratio 2, two variables: 2^6 = 64 = 8^2 fails, 2^7 = 128 > 81
@@ -600,7 +809,6 @@ class TestFindSeparatingCharacter:
                 calls[name].append(m)
                 return original(values, m)
             monkeypatch.setattr(symchar, name, counted)
-            monkeypatch.setattr(order, name, counted)
         x, y = [F(4), F(1, 2), F(1, 2)], [F(3), F(1), F(1, 3)]
         if not exact:
             x, y = ModuliVector.from_values(map(float, x)), ModuliVector.from_values(map(float, y))
