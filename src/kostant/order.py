@@ -8,16 +8,17 @@ combinatorially here, and two kinds of machine-checkable evidence are
 produced: T-transform chains certifying hull membership, and top-k
 prefix functionals (or separating characters) certifying failure.
 
-Comparison policy: exact inputs (Fractions) are compared exactly; float
-comparisons treat differences within REL_SLACK of a scale as ties.
-Prefix tests on sums (permutohedron_certificate; kostant_compare and
+Comparison policy: rational inputs are compared exactly, on integers
+over one common denominator (the vectors' .integers); float comparisons
+treat differences within REL_SLACK of a scale as ties. Prefix tests on
+sums (permutohedron_certificate; kostant_compare and
 find_separating_character on float moduli, as centered logs) read
 per-level comparisons from one kernel, _prefix_cmp; each float caller
 supplies its own scale, and rational logs reach it as integers over one
 common denominator. On rational moduli the order is decided by a float
-filter on the logs, whose band is a proven bound on the rounding of the
-logs (libm's log correct to a few ulps) and of their sums, with integer
-products behind it for the levels inside the band
+filter on the logs of those integers, whose band is a proven bound on
+the rounding of the logs (libm's log correct to a few ulps) and of their
+sums, with integer products behind it for the levels inside the band
 (_normalized_prefix_comparisons); the hull membership of rational moduli
 in permutohedron_certificate is that verdict, and one T-transform chain
 builder (_hlp_steps) serves integer and float certificates. Every h_m
@@ -42,6 +43,7 @@ from .errors import (
     LengthMismatch,
     NotSeparable,
     OrderHolds,
+    ParseError,
     SumMismatch,
 )
 from .symchar import (
@@ -52,10 +54,12 @@ from .symchar import (
     RepSpec,
     Sym,
     _as_moduli,
+    _Sorted,
     _h_exact_at,
     _h_logs,
     _h_value,
     _is_exact,
+    _over_lcm,
     rep_dim,
     rep_moduli,
 )
@@ -104,7 +108,7 @@ def _prefix_cmp(xs, ys, scale=None) -> list[int]:
 
 
 @frozen
-class LogVector:
+class LogVector(_Sorted):
     """Additive avatar of hyperbolic data: reals sorted non-increasing."""
 
     values: tuple
@@ -115,20 +119,8 @@ class LogVector:
         for a, b in zip(self.values, self.values[1:]):
             if a < b:
                 raise ValueError("log vector must be sorted non-increasing")
-
-    @classmethod
-    def from_values(cls, values) -> "LogVector":
-        coerced = [Fraction(v) if isinstance(v, int) else v for v in values]
-        coerced.sort(reverse=True)
-        return cls(tuple(coerced))
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    @property
-    def exact(self) -> bool:
-        return all(map(_is_exact, self.values))
+        if self.values[0].__class__ is not float and (a := _over_lcm(self.values)):
+            self.__dict__.update(integers=a, exact=True)
 
 
 @frozen
@@ -255,8 +247,9 @@ def _normalized_prefix_comparisons(xv: ModuliVector, yv: ModuliVector) -> list[i
 
     Exact input is decided by a float filter with integers behind it
     (Shewchuk, Discrete Comput. Geom. 18, 1997), so no verdict moves.
-    Each modulus p/q gives l = log p - log q from math.log on the
-    integers, which takes any size. The filter rests on one assumption
+    Each modulus p/q, q the common denominator of its vector (.integers),
+    gives l = log p - log q from math.log on the integers, which takes any
+    size. The filter rests on one assumption
     about libm, the one _LogRatio.sign makes: log is correct to a few
     ulps. Then each computed l is within eps m of the true one, eps =
     PAPER_BAND_EPS and m = log p + log q: p, q >= 1, p = 1 is exact, and
@@ -270,23 +263,24 @@ def _normalized_prefix_comparisons(xv: ModuliVector, yv: ModuliVector) -> list[i
     terms and the rounding u |d_k| of the last subtraction. A level with
     |d_k| > beta_k takes the sign of the computed d_k. A level inside
     the band compares P_k(x)^n P(y)^k against P_k(y)^n P(x)^k in
-    integers: with x_i = p_i / q_i and y_i = r_i / s_i, the unreduced
-    products a_k = prod_(i<=k) p_i s_i and b_k = prod_(i<=k) r_i q_i give
+    integers: with x_i = p_i / q and y_i = r_i / s, the products
+    a_k = prod_(i<=k) p_i s and b_k = prod_(i<=k) r_i q give
     P_k(x) / P_k(y) = a_k / b_k, so the level compares a_k^n b_n^k with
     b_k^n a_n^k.
     """
     n = xv.n
     if xv.exact and yv.exact:
-        ax, size_x, num_x, den_x = _level_logs(xv.values)
-        ay, size_y, num_y, den_y = _level_logs(yv.values)
+        (num_x, den_x), (num_y, den_y) = xv.integers, yv.integers
+        ax, size_x = _level_logs(num_x, den_x)
+        ay, size_y = _level_logs(num_y, den_y)
         ku = (n + 1) * 2.0 ** -53
         # beta_k = (n + k) beta
         beta = 2 * (PAPER_BAND_EPS + ku / (1 - ku)) * (size_x + size_y)
         signs = [(d > (n + k) * beta) - (d < -(n + k) * beta)
                  for k, d in enumerate(map(sub, ax, ay), start=1)]
         if 0 in signs:
-            a = list(accumulate(map(mul, num_x, den_y), mul))
-            b = list(accumulate(map(mul, num_y, den_x), mul))
+            a = list(accumulate((p * den_y for p in num_x), mul))
+            b = list(accumulate((r * den_x for r in num_y), mul))
             for k, sign in enumerate(signs, start=1):
                 if sign == 0:
                     lhs, rhs = a[k - 1] ** n * b[-1] ** k, b[k - 1] ** n * a[-1] ** k
@@ -303,20 +297,14 @@ def _normalized_prefix_comparisons(xv: ModuliVector, yv: ModuliVector) -> list[i
     return _prefix_cmp(cx[:-1], cy[:-1], spread + rounding / REL_SLACK or 1.0)
 
 
-def _level_logs(values) -> tuple[list[float], float, list[int], list[int]]:
-    """A_k = n S_k - k S_n, k = 1..n-1, of the logs of rational moduli p/q;
-    the sum of log p + log q; the numerators p and the denominators q."""
-    logs, size, nums, dens = [], 0.0, [], []
-    for v in values:
-        nums.append(v.numerator)
-        dens.append(v.denominator)
-        log_p, log_q = math.log(nums[-1]), math.log(dens[-1])
-        logs.append(log_p - log_q)
-        size += log_p + log_q
-    sums = list(accumulate(logs))
+def _level_logs(nums, den: int) -> tuple[list[float], float]:
+    """A_k = n S_k - k S_n, k < n, of the logs of moduli p / den; sum of log p + log den."""
+    log_q = math.log(den)
+    log_p = list(map(math.log, nums))
+    sums = list(accumulate(lp - log_q for lp in log_p))
     n, total = len(sums), sums[-1]
     levels = [n * s - k * total for k, s in enumerate(sums[:-1], start=1)]
-    return levels, size, nums, dens
+    return levels, sum(log_p) + n * log_q
 
 
 # --- permutohedron certificates ---------------------------------------------------
@@ -334,9 +322,13 @@ def permutohedron_certificate(x, y):
     A ModuliVector pair stands for its logs; on rational moduli membership
     is kostant_compare's exact verdict, a non-member's margin comes from
     the exact ratio P_k(y) / P_k(x), and a member's chain from float logs.
+    A ModuliVector against anything else is a ParseError.
     """
-    rational = isinstance(x, ModuliVector) and x.exact and y.exact
-    if isinstance(x, ModuliVector):
+    if (moduli := isinstance(x, ModuliVector)) != isinstance(y, ModuliVector):
+        raise ParseError("permutohedron_certificate takes two ModuliVectors or two log "
+                         f"vectors, got {type(x).__name__} and {type(y).__name__}")
+    rational = moduli and x.exact and y.exact
+    if moduli:
         xm, ym, x, y = x, y, x.log_values(), y.log_values()
     lx = x if isinstance(x, LogVector) else LogVector.from_values(x)
     ly = y if isinstance(y, LogVector) else LogVector.from_values(y)
@@ -344,9 +336,10 @@ def permutohedron_certificate(x, y):
         raise LengthMismatch(f"lengths {lx.n} != {ly.n}")
     exact = lx.exact and ly.exact
     if exact:
-        den = math.lcm(*[v.denominator for v in lx.values + ly.values])
-        xs = [v.numerator * (den // v.denominator) for v in lx.values]
-        ys = [v.numerator * (den // v.denominator) for v in ly.values]
+        (ax, den_x), (ay, den_y) = lx.integers, ly.integers
+        den = math.lcm(den_x, den_y)
+        xs = [v * (den // den_x) for v in ax]
+        ys = [v * (den // den_y) for v in ay]
         scale = None
     else:
         xs, ys = lx.values, ly.values

@@ -13,8 +13,9 @@ and rep_dim its dimension: one walk over the tree (_walk), read under
 four _Algebras.
 
 The input is a ModuliVector (linalg.matrix_moduli turns a matrix into
-one); nothing here needs a matrix library. Evaluation is exact over
-Fractions when the input moduli are rational.
+one); nothing here needs a matrix library. Rational input of degree d
+is evaluated on integers over one common denominator D, divided once by
+D**d (ModuliVector.integers).
 Schur weights are read off Gelfand-Tsetlin patterns, one row at a time
 (_interlacing); Schur values come from Jacobi-Trudi.
 Every h_m (complete homogeneous) evaluation of the package is made
@@ -69,8 +70,47 @@ def _log(value) -> float:
 # --- domain types -----------------------------------------------------------
 
 
+class _Sorted:
+    """Values sorted non-increasing; rational ones cache integers = _over_lcm(values)."""
+
+    exact = False
+    integers = None
+    _positive = False
+
+    @classmethod
+    def from_values(cls, values):
+        """Coerce, sort non-increasing, and validate; rationals on integers."""
+        coerced = [Fraction(v) if isinstance(v, int) else v for v in values]
+        if coerced and coerced[0].__class__ is not float and (integers := _over_lcm(coerced)):
+            a, den = integers
+            order = sorted(range(len(a)), key=a.__getitem__, reverse=True)
+            if cls._positive and a[order[-1]] <= 0:
+                first = next(coerced[i] for i in order if a[i] <= 0)
+                raise NonPositive(f"moduli must be strictly positive, got {first}")
+            vector = cls.__new__(cls)  # fields set past the frozen __setattr__
+            vector.__dict__.update(values=tuple([coerced[i] for i in order]), exact=True,
+                                   integers=(tuple([a[i] for i in order]), den))
+            return vector
+        coerced.sort(reverse=True)
+        return cls(tuple(coerced))
+
+    @property
+    def n(self) -> int:
+        return len(self.values)
+
+
+def _over_lcm(values) -> tuple[tuple[int, ...], int] | None:
+    """(a, D), values[i] == a[i] / D with D the lcm of the denominators, if all rational."""
+    for v in values:
+        if v.__class__ is not Fraction and not _is_exact(v):
+            return None
+    dens = [v.denominator for v in values]
+    den = math.lcm(*dens)
+    return tuple([v.numerator * (den // q) for v, q in zip(values, dens)]), den
+
+
 @frozen
-class ModuliVector:
+class ModuliVector(_Sorted):
     """Positive eigenvalue moduli sorted non-increasing.
 
     Entries are floats or Fractions; the vector is exact when every entry
@@ -79,8 +119,9 @@ class ModuliVector:
     """
 
     values: tuple
+    _positive = True
 
-    def __post_init__(self):
+    def __post_init__(self):  # one per class: shared code runs slower on alternation
         if len(self.values) == 0:
             raise ValueError("moduli vector must be nonempty")
         for v in self.values:
@@ -89,24 +130,14 @@ class ModuliVector:
         for a, b in zip(self.values, self.values[1:]):
             if a < b:
                 raise ValueError("moduli must be sorted non-increasing")
-
-    @classmethod
-    def from_values(cls, values) -> "ModuliVector":
-        """Coerce, sort non-increasing, and validate."""
-        coerced = [Fraction(v) if isinstance(v, int) else v for v in values]
-        coerced.sort(reverse=True)
-        return cls(tuple(coerced))
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    @property
-    def exact(self) -> bool:
-        return all(map(_is_exact, self.values))
+        # floats do no rational work
+        if self.values[0].__class__ is not float and (a := _over_lcm(self.values)):
+            self.__dict__.update(integers=a, exact=True)
 
     def product(self):
-        result = Fraction(1) if self.exact else 1.0
+        if self.exact:
+            return Fraction(math.prod(self.integers[0]), self.integers[1] ** self.n)
+        result = 1.0
         for v in self.values:
             result *= v
         return result
@@ -220,11 +251,11 @@ def _schur_dimension(shape: Partition, n: int) -> int:
 def complete_homogeneous(m: int, x):
     """h_m(x_1, ..., x_n): the sum of all degree-m monomials.
 
-    Exact over Fractions for exact input (_h_exact). Float input goes
-    through the one scaled recurrence _h_scan, whose relative error is
-    at most about n*m*eps (all terms positive); Overflow is raised
-    exactly when h_m(x) is not a finite float, in which case
-    complete_homogeneous_log still has the value.
+    Exact input: integers over one common denominator, divided once
+    (_h_exact). Float input goes through the one scaled recurrence
+    _h_scan, whose relative error is at most about n*m*eps (all terms
+    positive); Overflow is raised exactly when h_m(x) is not a finite
+    float, in which case complete_homogeneous_log still has the value.
     """
     x = _as_moduli(x)
     if m < 0:
@@ -265,9 +296,9 @@ def _h_logs(v: ModuliVector, m_max: int):
     above 1, with the log of the largest from its integers, so that no
     modulus past float range is converted to a float."""
     if v.exact:
-        top = Fraction(v.values[0])
-        log_top = _rational_log(top)
-        values = tuple(float(value / top) for value in v.values)
+        log_top = _rational_log(v.values[0])
+        a = v.integers[0]
+        values = tuple([p / a[0] for p in a])
     else:
         values = v.as_floats()
         log_top = math.log(values[0])
@@ -277,18 +308,19 @@ def _h_logs(v: ModuliVector, m_max: int):
 
 def _h_exact_at(m: int, v: ModuliVector) -> Fraction:
     """h_m(v) exactly; binary floats are rationals."""
-    return _last(_h_exact(v.as_fractions(), m))
+    a, den = v.integers or _over_lcm(v.as_fractions())
+    return Fraction(_last(_h_exact(a, m)), den ** m)
 
 
-def _h_exact(values: tuple[Fraction, ...], m_max: int):
-    """Yield h_m(values) for m = 0..m_max exactly, by the recurrence of
-    _h_scan without its scaling."""
-    row = [Fraction(1)] * len(values)
-    yield Fraction(1)
+def _h_exact(a: tuple[int, ...], m_max: int):
+    """Yield h_m(a) for m = 0..m_max, by the recurrence of _h_scan without
+    its scaling; on integers a = D * x, h_m(x) = h_m(a) / D**m."""
+    row = [1] * len(a)
+    yield 1
     for _ in range(m_max):
-        h = Fraction(0)
-        for k, v in enumerate(values):
-            h = row[k] = h + v * row[k]
+        h = 0
+        for k, p in enumerate(a):
+            h = row[k] = h + p * row[k]
         yield h
 
 
@@ -354,14 +386,12 @@ def elementary(k: int, x):
     x = _as_moduli(x)
     if k < 0 or k > x.n:
         raise BadIndex(f"elementary index {k} outside [0, {x.n}]")
-    values = x.as_fractions() if x.exact else x.as_floats()
-    one = Fraction(1) if x.exact else 1.0
-    zero = Fraction(0) if x.exact else 0.0
-    row = [one] + [zero] * k  # e_j of the empty prefix
+    values, den = x.integers or (x.as_floats(), None)  # exact: e_k(D x) / D**k
+    row = [1] + [0] * k if den else [1.0] + [0.0] * k  # e_j of the empty prefix
     for v in values:
         for j in range(min(k, len(row) - 1), 0, -1):
             row[j] = row[j] + v * row[j - 1]
-    return row[k]
+    return row[k] if den is None else Fraction(row[k], den ** k)
 
 
 def schur(shape: Partition, x):
@@ -378,7 +408,7 @@ def schur(shape: Partition, x):
     if shape.length == 0:
         return Fraction(1) if x.exact else 1.0
     if x.exact:
-        return _jacobi_trudi_exact(shape, x.as_fractions())
+        return _jacobi_trudi_exact(shape, x)
     values = x.as_floats()
     h = [_scaled_to_float(values[0], d, *hd)
          for d, hd in enumerate(_h_scan(values, _top_degree(shape)))]
@@ -387,7 +417,7 @@ def schur(shape: Partition, x):
     hadamard = math.prod(math.hypot(*row) for row in matrix)
     if hadamard > 0 and abs(det) < 1e-8 * hadamard:
         # all significant digits cancelled; retry exactly
-        return float(_jacobi_trudi_exact(shape, x.as_fractions()))
+        return float(_jacobi_trudi_exact(shape, x))
     return det
 
 
@@ -404,9 +434,11 @@ def _jacobi_trudi(shape: Partition, h: list) -> list[list]:
             for i in range(ell)]
 
 
-def _jacobi_trudi_exact(shape: Partition, values: tuple[Fraction, ...]) -> Fraction:
-    h = list(_h_exact(values, _top_degree(shape)))
-    return _det(_jacobi_trudi(shape, h))
+def _jacobi_trudi_exact(shape: Partition, x: ModuliVector) -> Fraction:
+    """det(D**d h_d(x)), d = shape_i - i + j, is s_shape(x) D**|shape|."""
+    a, den = x.integers or _over_lcm(x.as_fractions())
+    h = [Fraction(v) for v in _h_exact(a, _top_degree(shape))]  # _det divides
+    return Fraction(_det(_jacobi_trudi(shape, h)), den ** sum(shape.parts))
 
 
 def _det(matrix: list[list]):
@@ -553,9 +585,12 @@ def rep_moduli(spec: RepSpec, x, cap: int | None = DEFAULT_MODULI_CAP) -> Moduli
     return ModuliVector.from_values(_walk(spec, x, _MODULI, cap))
 
 
-def _products(combos, x: ModuliVector) -> list:
-    one = _one(x)
-    return [_product(combo, one) for combo in combos]
+def _products(choose, x: ModuliVector, degree: int) -> list:
+    """Products over choose(values, degree); exact x on its integers."""
+    if not x.exact:
+        return [_product(combo, 1.0) for combo in choose(x.values, degree)]
+    a, scale = x.integers[0], x.integers[1] ** degree
+    return [Fraction(math.prod(combo), scale) for combo in choose(a, degree)]
 
 
 def _product(values, one):
@@ -566,8 +601,8 @@ def _product(values, one):
 
 
 _MODULI = _Algebra(
-    sym=lambda m, x: _products(combinations_with_replacement(x.values, m), x),
-    ext=lambda k, x: _products(combinations(x.values, _check_ext(k, x.n)), x),
+    sym=lambda m, x: _products(combinations_with_replacement, x, m),
+    ext=lambda k, x: _products(combinations, x, _check_ext(k, x.n)),
     schur=_schur_moduli,
     product=lambda left, right: [a * b for a in left for b in right],
     add=operator.add, lift=rep_moduli)

@@ -16,9 +16,11 @@ import pytest
 from scipy.linalg import block_diag
 
 from kostant import (
+    Compose,
     DirectSum,
     Ext,
     ModuliVector,
+    Schur,
     Sym,
     Tensor,
     apply_t_transforms,
@@ -178,6 +180,36 @@ def brute_force_schur(shape: tuple[int, ...], values) -> Fraction:
                 term *= Fraction(values[v - 1])
         total += term
     return total
+
+
+def brute_force_e(k: int, values) -> Fraction:
+    """Sum of the products of all k-subsets, by full enumeration."""
+    return sum((math.prod(map(Fraction, combo)) for combo in combinations(values, k)),
+               Fraction(0))
+
+
+def brute_force_moduli(spec, values) -> list[Fraction]:
+    """Eigenvalue moduli of the representation at the diagonal moduli
+    values, in Fractions, by enumeration: monomials (Sym), subsets (Ext),
+    tableau weights (Schur), pairwise products (Tensor), concatenation
+    (DirectSum), and the outer spec at the inner moduli (Compose)."""
+    values = [Fraction(v) for v in values]
+    if isinstance(spec, Sym):
+        return [Fraction(math.prod(c))
+                for c in combinations_with_replacement(values, spec.m)]
+    if isinstance(spec, Ext):
+        return [Fraction(math.prod(c)) for c in combinations(values, spec.k)]
+    if isinstance(spec, Schur):
+        return [Fraction(math.prod(values[v - 1] for row in t for v in row))
+                for t in enumerate_ssyt(spec.shape.parts, len(values))]
+    if isinstance(spec, Tensor):
+        return [a * b for a in brute_force_moduli(spec.left, values)
+                for b in brute_force_moduli(spec.right, values)]
+    if isinstance(spec, DirectSum):
+        return [v for part in spec.parts for v in brute_force_moduli(part, values)]
+    if isinstance(spec, Compose):
+        return brute_force_moduli(spec.outer, brute_force_moduli(spec.inner, values))
+    raise TypeError(spec)
 
 
 def verify_functional(func, x, y) -> bool:

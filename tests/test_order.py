@@ -26,6 +26,7 @@ from kostant import (
     ModuliVector,
     NotSeparable,
     OrderHolds,
+    ParseError,
     SeparatingFunctional,
     Sym,
     SumMismatch,
@@ -43,7 +44,7 @@ from kostant import (
     spectral_radius_rep,
     verify_certificate,
 )
-from kostant import order, symchar
+from kostant import cli, order, symchar
 from kostant.order import PAPER_EXACT_LIMIT, _least_paper_degree
 
 from conftest import (
@@ -402,6 +403,17 @@ class TestPermutohedronCertificate:
             permutohedron_certificate(x, y)
         with pytest.raises(LengthMismatch):
             permutohedron_certificate(x, ModuliVector.from_values([F(1)] * 3))
+
+    @pytest.mark.parametrize("moduli_first", [True, False])
+    def test_moduli_against_a_log_list_is_an_input_error(self, moduli_first):
+        pair = [ModuliVector.from_values([2.0, 0.5]), [1.0, -1.0]]
+        if not moduli_first:
+            pair.reverse()
+        with pytest.raises(ParseError) as info:
+            permutohedron_certificate(*pair)
+        assert issubclass(info.type, cli.INPUT_ERRORS)  # exit code 2
+        names = ("ModuliVector", "list") if moduli_first else ("list", "ModuliVector")
+        assert "got {} and {}".format(*names) in str(info.value)
 
 
 def pinned_chain_pairs():

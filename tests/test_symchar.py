@@ -35,10 +35,13 @@ from kostant import (
     schur,
     spectral_radius_rep,
 )
+from kostant.order import LogVector
 from kostant.symchar import _det, _h_exact, _h_scan, _last, _scaled_to_log
 
 from conftest import (
+    brute_force_e,
     brute_force_h,
+    brute_force_moduli,
     brute_force_schur,
     enumerate_ssyt,
     random_sl,
@@ -81,6 +84,66 @@ class TestModuliVector:
         assert logs[0] == -logs[3]
         floats = ModuliVector.from_values([2.5, 1e-310, 4.0])
         assert floats.log_values() == tuple(math.log(v) for v in floats.values)
+
+
+@pytest.mark.parametrize("cls", [ModuliVector, LogVector])
+class TestConstruction:
+    """from_values sorts rationals on their integers over the common
+    denominator and builds the vector without re-checking that order; a
+    direct constructor call keeps the full check."""
+
+    def test_rationals_apart_in_the_40th_digit_sort_exactly(self, cls):
+        base = F(123456789, 10 ** 9)
+        near = [base + F(k, d * 10 ** 40)
+                for k, d in ((2, 7), (5, 11), (1, 3), (4, 13), (3, 9))]
+        assert len({float(v) for v in near}) == 1  # floats cannot order them
+        v = cls.from_values(near + [F(1, 30)])
+        assert v.values == tuple(sorted(near, reverse=True)) + (F(1, 30),)
+        a, den = v.integers
+        assert den == math.lcm(*(value.denominator for value in v.values))
+        assert all(F(p, den) == value for p, value in zip(a, v.values))
+
+    def test_direct_call_keeps_the_full_check(self, cls):
+        with pytest.raises(ValueError, match="sorted"):
+            cls((F(1, 2), F(2)))
+        with pytest.raises(ValueError, match="nonempty"):
+            cls(())
+
+    def test_empty_input_raises(self, cls):
+        with pytest.raises(ValueError, match="nonempty"):
+            cls.from_values([])
+
+    def test_int_input_becomes_fraction(self, cls):
+        v = cls.from_values([1, 3, F(1, 2)])
+        assert v.values == (F(3), F(1), F(1, 2))
+        assert all(type(value) is Fraction for value in v.values)
+        assert v.exact and v.integers == ((6, 2, 1), 2)
+
+    def test_mixed_float_and_fraction_takes_the_float_path(self, cls):
+        for values in ([F(1, 2), 2.0], [2.0, F(1, 2)]):
+            v = cls.from_values(values)
+            assert v.values == (2.0, F(1, 2))
+            assert not v.exact and v.integers is None
+
+    def test_fields_alone_make_equality_hash_and_repr(self, cls):
+        built, direct = cls.from_values([F(1, 2), 2]), cls((F(2), F(1, 2)))
+        assert built == direct and hash(built) == hash(direct)
+        assert repr(built) == f"{cls.__name__}(values=(Fraction(2, 1), Fraction(1, 2)))"
+
+
+class TestNonPositiveModuli:
+    @pytest.mark.parametrize("values", [
+        [F(1), F(0)], [F(2), F(-1, 3), F(1, 2)], [0, 5], [F(-1), F(-2)]])
+    def test_rational_non_positive_raises(self, values):
+        with pytest.raises(NonPositive) as built:
+            ModuliVector.from_values(values)
+        with pytest.raises(NonPositive) as direct:
+            ModuliVector(tuple(sorted(map(F, values), reverse=True)))
+        assert str(built.value) == str(direct.value)
+
+    def test_direct_call_checks_positivity(self):
+        with pytest.raises(NonPositive):
+            ModuliVector((F(1), F(0)))
 
 
 class TestCompleteHomogeneous:
@@ -180,6 +243,54 @@ class TestCompleteHomogeneous:
     def test_exact_values_survive_large_degree(self):
         value = complete_homogeneous(300, [F(2), F(1, 2)])
         assert value > F(2) ** 300  # dominated by the top monomial
+
+
+def wide_rationals():
+    """Rationals p/q * 10^e: q up to 10^30, magnitudes up to 10^(+-400)."""
+    return st.builds(lambda p, q, e: F(p, q) * F(10) ** e, st.integers(1, 10 ** 30),
+                     st.integers(1, 10 ** 30), st.integers(-400, 400))
+
+
+SCHUR_SHAPES = ((1,), (3,), (2, 1), (1, 1, 1), (2, 2), (3, 1, 1))
+REP_SPECS = (Sym(0), Sym(3), Ext(2), Schur(Partition((2, 1))),
+             Tensor(Sym(2), Ext(1)), Compose(Sym(2), Ext(2)),
+             DirectSum((Sym(3), Ext(2), Sym(0))))
+
+
+class TestIntegerKernels:
+    """The exact kernels run on integers over one common denominator;
+    they must equal Fraction arithmetic on the values themselves."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.lists(wide_rationals(), min_size=1, max_size=4), st.integers(0, 6))
+    def test_symmetric_functions_match_fraction_oracles(self, values, m):
+        assert complete_homogeneous(m, values) == brute_force_h(m, values)
+        for k in range(len(values) + 1):
+            assert elementary(k, values) == brute_force_e(k, values)
+        for shape in SCHUR_SHAPES:
+            if len(shape) <= len(values):
+                assert schur(shape, values) == brute_force_schur(shape, values)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(wide_rationals(), min_size=2, max_size=4), st.sampled_from(REP_SPECS))
+    def test_rep_moduli_and_characters_match_fraction_oracle(self, values, spec):
+        moduli = brute_force_moduli(spec, values)
+        assert rep_moduli(spec, values, cap=None).values == tuple(sorted(moduli, reverse=True))
+        assert abs_character(spec, values, cap=None) == sum(moduli)
+        assert spectral_radius_rep(spec, values, cap=None) == max(moduli)
+
+    def test_degree_3000_on_moduli_of_size_ten_to_minus_400(self):
+        # Fraction additions took minutes here: every one reduced by a gcd
+        # of numbers of up to a million digits
+        values = [F(7, 3 * 10 ** 400), F(3, 10 ** 400), F(5, 11 * 10 ** 400)]
+        m = 3000
+        h = complete_homogeneous(m, values)
+        exact_log = math.log(h.numerator) - math.log(h.denominator)
+        top = max(values)
+        size = m * (math.log(top.numerator) + math.log(top.denominator)) + \
+            math.log(h.numerator) + math.log(h.denominator)
+        bound = (len(values) * m + 2 * size + 1) * sys.float_info.epsilon
+        assert abs(complete_homogeneous_log(m, values) - exact_log) <= bound
 
 
 class TestElementary:
