@@ -6,8 +6,11 @@ Inputs are JSON files (matrix or moduli payloads, auto-detected by their
 --out. Exit codes: 0 success, 1 mathematical negative (order fails /
 order holds when a witness was requested / not a hull member), 2 input
 error (an unwritable --out included), 3 numerical failure (an internal
-check that fails, such as a stalled T-transform chain, included). The
-handlers hold no order logic: every decision is made in order.
+check that fails, such as a stalled T-transform chain, included). A bad
+option value, a --tol that is not finite and positive or a --dim-cap
+below 1 included, is a usage error: argparse exits 2. Each handler reads
+the parsed arguments and holds no order logic: every decision is made in
+order.
 
 The matrix layers (cmjd, linalg, and numpy and scipy's LAPACK extension)
 and the self-check suites are imported by the handlers that use them, so a
@@ -18,15 +21,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import serialize
-from ._frozen import frozen
 from .errors import (
     BadIndex,
     DimensionCap,
     IllConditioned,
-    KostantError,
     LengthMismatch,
     NonConvergence,
     NonPositive,
@@ -61,22 +63,18 @@ NUMERICAL_ERRORS = (NonConvergence, IllConditioned, Singular, NotHyperbolic,
                     Overflow, AssertionError)
 
 
-@frozen
-class JobConfig:
-    command: str
-    inputs: dict[str, str]
-    tol: float = 1e-8
-    exact: bool = False
-    dim_cap: int = DEFAULT_MODULI_CAP
-    out: str | None = None
-    suites: tuple[str, ...] | None = None
-    inject_fault: bool = False
+def _tol(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:  # nan fails both comparisons
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
 
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ParseError("tol must be positive")
-        if self.dim_cap < 1:
-            raise ParseError("dim-cap must be at least 1")
+
+def _dim_cap(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
 
 
 def _load_json(path: str):
@@ -89,89 +87,85 @@ def _load_json(path: str):
         raise ParseError(f"bad JSON in {path}: {exc}") from exc
 
 
-def _load_moduli(path: str, config: JobConfig) -> ModuliVector:
+def _load_moduli(path: str, args: argparse.Namespace) -> ModuliVector:
     """Moduli from either a moduli payload or a matrix payload."""
     obj = _load_json(path)
     if isinstance(obj, dict) and "values" in obj:
-        return serialize.parse_moduli(obj, exact=config.exact)
-    payload = serialize.parse_matrix(obj, exact=config.exact)
+        return serialize.parse_moduli(obj, exact=args.exact)
+    payload = serialize.parse_matrix(obj, exact=args.exact)
     if payload.moduli is not None:
         return payload.moduli
     from .linalg import matrix_moduli
 
-    return matrix_moduli(payload.matrix, cluster_tol=config.tol)
+    return matrix_moduli(payload.matrix, cluster_tol=args.tol)
 
 
-def run(config: JobConfig) -> tuple[int, dict]:
-    """Execute one job; returns (exit code, JSON-ready report)."""
+def run(args: argparse.Namespace) -> tuple[int, dict]:
+    """Execute one parsed job; returns (exit code, JSON-ready report)."""
     try:
-        handler = _HANDLERS[config.command]
-    except KeyError:
-        raise ParseError(f"unknown command {config.command!r}") from None
-    try:
-        return handler(config)
+        return _HANDLERS[args.command](args)
     except (OrderHolds, NotSeparable) as exc:
-        return 1, _error_report(config, exc)
+        return 1, _error_report(args, exc)
     except INPUT_ERRORS as exc:
-        return 2, _error_report(config, exc)
+        return 2, _error_report(args, exc)
     except NUMERICAL_ERRORS as exc:
-        return 3, _error_report(config, exc)
+        return 3, _error_report(args, exc)
 
 
-def _error_report(config: JobConfig, exc: Exception) -> dict:
-    return {"command": config.command, "error": type(exc).__name__,
+def _error_report(args: argparse.Namespace, exc: Exception) -> dict:
+    return {"command": args.command, "error": type(exc).__name__,
             "message": str(exc)}
 
 
-def _run_decompose(config: JobConfig) -> tuple[int, dict]:
+def _run_decompose(args: argparse.Namespace) -> tuple[int, dict]:
     from .cmjd import cmjd
 
-    payload = serialize.parse_matrix(_load_json(config.inputs["g"]))
-    triple = cmjd(payload.matrix, tol=config.tol)
-    report = {"command": "decompose", "tol": config.tol}
+    payload = serialize.parse_matrix(_load_json(args.g))
+    triple = cmjd(payload.matrix, tol=args.tol)
+    report = {"command": "decompose", "tol": args.tol}
     report.update(serialize.triple_to_json(triple))
     return 0, report
 
 
-def _run_order(config: JobConfig) -> tuple[int, dict]:
-    x = _load_moduli(config.inputs["g1"], config)
-    y = _load_moduli(config.inputs["g2"], config)
+def _run_order(args: argparse.Namespace) -> tuple[int, dict]:
+    x = _load_moduli(args.g1, args)
+    y = _load_moduli(args.g2, args)
     verdict = kostant_compare(x, y)
     report = {"command": "order"}
     report.update(serialize.verdict_to_json(verdict))
-    report["moduli_1"] = serialize.moduli_to_json(x)["values"]
-    report["moduli_2"] = serialize.moduli_to_json(y)["values"]
+    report["moduli_1"] = [serialize.scalar_to_json(v) for v in x.values]
+    report["moduli_2"] = [serialize.scalar_to_json(v) for v in y.values]
     code = 0 if verdict.relation in (GEQ, EQUAL) else 1
     return code, report
 
 
-def _run_char(config: JobConfig) -> tuple[int, dict]:
-    spec = serialize.parse_repspec(_load_json(config.inputs["spec"]))
-    x = _load_moduli(config.inputs["x"], config)
+def _run_char(args: argparse.Namespace) -> tuple[int, dict]:
+    spec = serialize.parse_repspec(_load_json(args.spec))
+    x = _load_moduli(args.x, args)
     report = {
         "command": "char",
         "spec": serialize.repspec_to_json(spec),
         "dimension": rep_dim(spec, x.n),
         "abs_character": serialize.scalar_to_json(
-            abs_character(spec, x, cap=config.dim_cap)),
+            abs_character(spec, x, cap=args.dim_cap)),
         "spectral_radius": serialize.scalar_to_json(
-            spectral_radius_rep(spec, x, cap=config.dim_cap)),
+            spectral_radius_rep(spec, x, cap=args.dim_cap)),
     }
     return 0, report
 
 
-def _run_witness(config: JobConfig) -> tuple[int, dict]:
-    x = _load_moduli(config.inputs["h1"], config)
-    y = _load_moduli(config.inputs["h2"], config)
-    witness = find_separating_character(x, y, dim_cap=config.dim_cap)
+def _run_witness(args: argparse.Namespace) -> tuple[int, dict]:
+    x = _load_moduli(args.h1, args)
+    y = _load_moduli(args.h2, args)
+    witness = find_separating_character(x, y, dim_cap=args.dim_cap)
     report = {"command": "witness"}
     report.update(serialize.witness_to_json(witness))
     return 0, report
 
 
-def _run_certify(config: JobConfig) -> tuple[int, dict]:
-    x = _load_moduli(config.inputs["x"], config)
-    y = _load_moduli(config.inputs["y"], config)
+def _run_certify(args: argparse.Namespace) -> tuple[int, dict]:
+    x = _load_moduli(args.x, args)
+    y = _load_moduli(args.y, args)
     result = permutohedron_certificate(x, y)
     if isinstance(result, SeparatingFunctional):
         return 1, {"command": "certify", "member": False,
@@ -180,11 +174,10 @@ def _run_certify(config: JobConfig) -> tuple[int, dict]:
                "certificate": serialize.certificate_to_json(result)}
 
 
-def _run_selfcheck(config: JobConfig) -> tuple[int, dict]:
+def _run_selfcheck(args: argparse.Namespace) -> tuple[int, dict]:
     from .selfcheck import run_suites
 
-    results = run_suites(names=config.suites,
-                         inject_fault=config.inject_fault)
+    results = run_suites(names=args.suites)
     report = {
         "command": "selfcheck",
         "suites": [{"name": r.name, "passed": r.passed, "detail": r.detail}
@@ -216,12 +209,12 @@ def _build_parser() -> argparse.ArgumentParser:
         """The flags the subcommand reads, then --out; tol is the help
         text of --tol, or None without it."""
         if tol:
-            p.add_argument("--tol", type=float, default=JobConfig.tol, help=tol)
+            p.add_argument("--tol", type=_tol, default=1e-8, help=tol)
         if exact:
             p.add_argument("--exact", action="store_true",
                            help="parse rational inputs and compare exactly")
         if dim_cap:
-            p.add_argument("--dim-cap", type=int, default=JobConfig.dim_cap,
+            p.add_argument("--dim-cap", type=_dim_cap, default=DEFAULT_MODULI_CAP,
                            help="largest admissible representation dimension")
         p.add_argument("--out", help="write the JSON report to this path")
 
@@ -257,52 +250,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selfcheck", help="run the bundled invariant suites")
     p.add_argument("--suite", action="append", dest="suites",
                    help="run only this suite (repeatable)")
-    p.add_argument("--inject-perturbation", action="store_true",
-                   dest="inject_fault",
-                   help="perturb a factor to force a validation failure")
     options(p, tol=None, exact=False)
 
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> JobConfig:
-    inputs = {}
-    for key in ("g", "g1", "g2", "spec", "x", "y", "h1", "h2"):
-        value = getattr(args, key, None)
-        if value is not None:
-            inputs[key] = value
-    # a subcommand without one of these flags keeps the JobConfig default
-    options = {key: getattr(args, key) for key in ("tol", "exact", "dim_cap")
-               if hasattr(args, key)}
-    return JobConfig(
-        command=args.command,
-        inputs=inputs,
-        out=args.out,
-        **options,
-        suites=tuple(args.suites) if getattr(args, "suites", None) else None,
-        inject_fault=getattr(args, "inject_fault", False),
-    )
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = config_from_args(args)
-        code, report = run(config)
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except KostantError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
+    args = _build_parser().parse_args(argv)
+    code, report = run(args)
     text = serialize.dumps(report)
-    if config.out:
+    if args.out:
         try:
-            with open(config.out, "w") as fh:
+            with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            sys.stderr.write(f"error: cannot write {config.out}: {exc}\n")
+            sys.stderr.write(f"error: cannot write {args.out}: {exc}\n")
             return 2
     else:
         sys.stdout.write(text)

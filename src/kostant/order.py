@@ -630,8 +630,6 @@ def _degree_budget(ext_dim: int, dim_cap: int | None) -> int | None:
     comb(m + N - 1, N - 1) <= cap."""
     if dim_cap is None:
         return None
-    if ext_dim == 1:
-        return MAX_SYM_DEGREE  # 1-dimensional inner rep: all powers are scalars
     lo, hi = 0, MAX_SYM_DEGREE  # comb(N - 1, N - 1) = 1 <= cap always
     while lo < hi:
         mid = (lo + hi + 1) // 2

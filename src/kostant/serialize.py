@@ -195,10 +195,6 @@ def parse_moduli(obj, exact: bool = False) -> ModuliVector:
     return ModuliVector.from_values(values)
 
 
-def moduli_to_json(v: ModuliVector) -> dict:
-    return {"values": [scalar_to_json(x) for x in v.values]}
-
-
 # --- rep specs ----------------------------------------------------------------------
 
 

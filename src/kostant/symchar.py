@@ -137,10 +137,7 @@ class ModuliVector(_Sorted):
     def product(self):
         if self.exact:
             return Fraction(math.prod(self.integers[0]), self.integers[1] ** self.n)
-        result = 1.0
-        for v in self.values:
-            result *= v
-        return result
+        return math.prod(self.values, start=1.0)
 
     def as_floats(self) -> tuple[float, ...]:
         return tuple(float(v) for v in self.values)
@@ -208,6 +205,9 @@ class Ext(RepSpec):
 @frozen
 class Schur(RepSpec):
     shape: Partition
+
+    def __post_init__(self):
+        object.__setattr__(self, "shape", _as_partition(self.shape))
 
 
 @frozen
@@ -471,9 +471,8 @@ def _det(matrix: list[list]):
 def _interlacing(mu: tuple[int, ...], rows: int):
     """Yield the partitions nu with at most `rows` parts interlacing mu,
     mu_1 >= nu_1 >= mu_2 >= nu_2 >= ...: the rows that may follow mu in a
-    Gelfand-Tsetlin pattern, i.e. mu / nu is a horizontal strip."""
-    if len(mu) > rows + 1:
-        return
+    Gelfand-Tsetlin pattern, i.e. mu / nu is a horizontal strip. mu has
+    at most rows + 1 parts."""
     below = mu[1:] + (0,)
     for nu in product(*(range(below[i], mu[i] + 1)
                         for i in range(min(len(mu), rows)))):
@@ -588,16 +587,9 @@ def rep_moduli(spec: RepSpec, x, cap: int | None = DEFAULT_MODULI_CAP) -> Moduli
 def _products(choose, x: ModuliVector, degree: int) -> list:
     """Products over choose(values, degree); exact x on its integers."""
     if not x.exact:
-        return [_product(combo, 1.0) for combo in choose(x.values, degree)]
+        return [math.prod(combo, start=1.0) for combo in choose(x.values, degree)]
     a, scale = x.integers[0], x.integers[1] ** degree
     return [Fraction(math.prod(combo), scale) for combo in choose(a, degree)]
-
-
-def _product(values, one):
-    result = one
-    for v in values:
-        result = result * v
-    return result
 
 
 _MODULI = _Algebra(
@@ -635,10 +627,10 @@ def spectral_radius_rep(spec: RepSpec, x, cap: int | None = DEFAULT_MODULI_CAP):
 
 _RADIUS = _Algebra(
     sym=lambda m, x: x.values[0] ** m if m > 0 else _one(x),
-    ext=lambda k, x: _product(x.values[:_check_ext(k, x.n)], _one(x)),
+    ext=lambda k, x: math.prod(x.values[:_check_ext(k, x.n)], start=_one(x)),
     # the dominant weight: the largest moduli get the largest exponents
-    schur=lambda shape, x: _product(
-        (v ** p for v, p in zip(x.values, _check_schur(shape, x.n).parts)), _one(x)),
+    schur=lambda shape, x: math.prod(
+        (v ** p for v, p in zip(x.values, _check_schur(shape, x.n).parts)), start=_one(x)),
     product=operator.mul, add=max, lift=rep_moduli)
 
 

@@ -32,6 +32,23 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture
+def perturbed_unipotent(monkeypatch):
+    """The selfcheck cmjd suite sees a unipotent factor off by 1e-6, so its
+    reconstruction check must fail."""
+    from kostant import selfcheck
+
+    real = selfcheck.cmjd
+
+    def cmjd(g):
+        triple = real(g)
+        bad = triple.unipotent.copy()
+        bad[0, -1] += 1e-6
+        return type(triple)(triple.elliptic, triple.hyperbolic, bad, triple.residuals)
+
+    monkeypatch.setattr(selfcheck, "cmjd", cmjd)
+
+
 # --- random inputs ------------------------------------------------------------
 
 

@@ -92,6 +92,46 @@ def test_unwritable_out_is_an_input_error(inputs, tmp_path, capsys):
     assert captured.err.startswith(f"error: cannot write {out}: ")
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("order", "--tol", "0"),
+    ("order", "--tol", "-1"),
+    ("order", "--tol", "nan"),
+    ("order", "--tol", "inf"),
+    ("decompose", "--tol", "inf"),
+    ("witness", "--dim-cap", "0"),
+    ("char", "--dim-cap", "0"),
+])
+def test_bad_option_values_are_usage_errors(command, flag, value, inputs, capsys):
+    # an infinite tol merged every eigenvalue into one cluster, and
+    # decompose could not write it to JSON
+    with pytest.raises(SystemExit) as exc:
+        main(commands(inputs)[command] + [flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be" in captured.err
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read "),
+    ("{\"values\": [2.0, 0.5", "bad JSON in "),
+])
+def test_unreadable_input_is_a_parse_error(content, message, inputs, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    if content is not None:
+        path.write_text(content)
+    code, report = run_json(commands({**inputs, "x": str(path)})["order"], capsys)
+    assert (code, report["error"]) == (2, "ParseError")
+    assert report["message"].startswith(message + str(path))
+
+
+def test_failing_suite_exits_3(perturbed_unipotent, capsys):
+    code, report = run_json(["selfcheck", "--suite", "cmjd"], capsys)
+    assert code == 3 and report["passed"] is False
+    (suite,) = report["suites"]
+    assert suite["name"] == "cmjd" and "reconstruction" in suite["detail"]
+
+
 @pytest.mark.parametrize("key, payload", [
     ("x", {"values": 5}),
     ("x", {"values": "421"}),

@@ -341,6 +341,22 @@ class TestProvenSpectra:
             assert own.passed and report.passed
 
 
+    def test_bound_inside_the_margin_falls_back_to_eigvals(self, monkeypatch):
+        # at d = 1e-3 the bound lies under the tolerance, but not 100 times
+        # under it (SPECTRUM_MARGIN), so eigvals decides
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: calls.append(1) or eigvals(a))
+        g = np.array([[1.0, 1.0], [0.0, 1.001]])
+        m, decomp, e, h, u, phases, moduli = own_factors(g)
+        bounds = cmjd_module._spectrum_bounds(decomp, e, h, phases, moduli)
+        assert 1e-2 < max(bounds) / (1e-8 * mat_norm(m)) < 1
+        calls.clear()
+        assert validate_cmjd(g, cmjd(g)).passed
+        assert len(calls) == 4  # cmjd's two, then validate_cmjd's two
+
+
 class TestHyperbolicLog:
     def test_identity(self):
         assert np.allclose(hyperbolic_log(np.eye(3)), np.zeros((3, 3)))
@@ -421,3 +437,11 @@ class TestValidateCmjd:
         report = validate_cmjd(g, bad, tol=1e-12)
         assert not report.checks["reconstruction"]
         assert not report.passed
+
+    def test_factor_shapes_must_match_g(self):
+        g = np.diag([2.0, 0.5])
+        t = cmjd(g)
+        wrong = type(t)(elliptic=t.elliptic, hyperbolic=np.eye(3),
+                        unipotent=t.unipotent, residuals=t.residuals)
+        with pytest.raises(ValueError, match="factor dimensions"):
+            validate_cmjd(g, wrong)

@@ -9,9 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from kostant.cli import JobConfig
 from kostant.cmjd import CmjdReport, CmjdTriple
-from kostant.errors import NonPositive, ParseError
+from kostant.errors import NonPositive
 from kostant.linalg import SpectralDecomposition, Spectrum
 from kostant.order import (
     LogValue,
@@ -70,9 +69,6 @@ VALUES = [
      "magnitude=0.4054651081081644)"),
     (MatrixInput(matrix=((1, 0), (0, 1)), moduli=None),
      "MatrixInput(matrix=((1, 0), (0, 1)), moduli=None)"),
-    (JobConfig("order", inputs={"g1": "x.json", "g2": "y.json"}),
-     "JobConfig(command='order', inputs={'g1': 'x.json', 'g2': 'y.json'}, tol=1e-08, "
-     "exact=False, dim_cap=1000000, out=None, suites=None, inject_fault=False)"),
     (SPECTRUM, "Spectrum(clusters=((2j, 1), (0.5, 1)), cluster_tol=1e-08)"),
     (SpectralDecomposition(spectrum=SPECTRUM, v=(1,), w=(1,), t=(2,),
                            blocks=(slice(0, 1, None),), labels=(0,), residual=0.0),
@@ -116,7 +112,7 @@ def test_hash_is_the_hash_of_the_fields(value, text):
     values = tuple(fields(value).values())
     try:
         expected = hash(values)
-    except TypeError:  # a dict field, as in JobConfig and the cmjd types
+    except TypeError:  # a dict field, as in the cmjd types
         with pytest.raises(TypeError):
             hash(value)
     else:
@@ -150,7 +146,7 @@ def test_pickle_round_trip(value, text):
     (lambda: Partition((1, 2)), ValueError),
     (lambda: DirectSum(()), ValueError),
     (lambda: LogVector((1.0, 2.0)), ValueError),
-    (lambda: JobConfig("order", {}, tol=0.0), ParseError),
+    (lambda: Schur((1, 2)), ValueError),
 ])
 def test_post_init_checks_still_run(make, error):
     with pytest.raises(error):
@@ -160,10 +156,8 @@ def test_post_init_checks_still_run(make, error):
 def test_defaults_and_required_fields():
     assert OrderVerdict("GEQ").failing_level is None
     assert OrderVerdict(relation="GEQ") == OrderVerdict("GEQ", None)
-    config = JobConfig(command="order", inputs={})
-    assert (config.tol, config.exact, config.out) == (1e-8, False, None)
     with pytest.raises(TypeError):
-        JobConfig("order")  # inputs has no default
+        OrderVerdict()  # relation has no default
     with pytest.raises(TypeError):
         Sym(1, 2)
 

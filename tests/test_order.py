@@ -45,7 +45,7 @@ from kostant import (
     verify_certificate,
 )
 from kostant import cli, order, symchar
-from kostant.order import PAPER_EXACT_LIMIT, _least_paper_degree
+from kostant.order import PAPER_EXACT_LIMIT, _h_sign, _least_paper_degree
 
 from conftest import (
     brute_force_h,
@@ -243,6 +243,15 @@ def planted_tie_pairs(draw):
             else:
                 y = [v * c for v in y]
     return x, y
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-8])
+def test_float_differences_past_the_tie_band_are_decided(delta):
+    # the float tie band is REL_SLACK = 1e-10 of the log scale; a level-1
+    # difference 100 times wider is decided
+    a = 2 * (1 + delta)
+    verdict = kostant_compare([2.0, 0.5], [a, 1 / a])
+    assert (verdict.relation, verdict.failing_level) == (LEQ, 1)
 
 
 class TestExactPrefixFilter:
@@ -752,6 +761,18 @@ class TestSeparatingSymPower:
         monkeypatch.setattr(order, "_h_compare", lambda m, cv, dv: (0, F(5, 2), F(2)))
         with pytest.raises(AssertionError):
             separating_sym_power([F(2), F(1, 2)], [F(1), F(1)])
+
+
+def test_float_tie_band_above_the_exact_degree_limit():
+    # the logs lie 5e-13 apart, well inside the tie band; the exact values
+    # of the float inputs decide up to EXACT_TIE_DEGREE_LIMIT = 2000, and
+    # above it the band reads as a tie
+    c = ModuliVector.from_values([2.0, 0.5])
+    d = ModuliVector.from_values([2.0, 0.5 + 2.0 ** -40])
+    for m, sign in ((2000, -1), (2001, 0)):
+        log_c, log_d = complete_homogeneous_log(m, c), complete_homogeneous_log(m, d)
+        assert abs(log_c - log_d) < 1e-12
+        assert _h_sign(m, log_c, log_d, c, d) == sign
 
 
 class TestFindSeparatingCharacter:

@@ -12,8 +12,8 @@ def test_every_suite_passes():
     assert not failed
 
 
-def test_injected_fault_fails_cmjd():
-    (result,) = run_suites(names=["cmjd"], inject_fault=True)
+def test_injected_fault_fails_cmjd(perturbed_unipotent):
+    (result,) = run_suites(names=["cmjd"])
     assert result.name == "cmjd" and not result.passed
     assert "reconstruction" in result.detail
 

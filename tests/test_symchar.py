@@ -67,6 +67,15 @@ class TestModuliVector:
     def test_float_vectors_are_inexact(self):
         assert not ModuliVector.from_values([2.0, 0.5]).exact
 
+    def test_float_product_multiplies_left_to_right(self, rng):
+        assert ModuliVector.from_values([3.0, 2.0, 0.25]).product() == 1.5
+        for _ in range(20):
+            v = ModuliVector.from_values(rng.uniform(0.1, 10.0, size=7).tolist())
+            expected = 1.0
+            for value in v.values:
+                expected *= value
+            assert v.product() == expected
+
     def test_normalized_product_one(self):
         v = ModuliVector.from_values([3.0, 2.0, 1.0]).normalized()
         assert abs(math.fsum(v.log_values())) < 1e-12
@@ -154,6 +163,11 @@ class TestCompleteHomogeneous:
 
     def test_degree_zero(self):
         assert complete_homogeneous(0, [2.0, 3.0]) == 1.0
+
+    def test_underflowing_leading_power(self):
+        # 0.5**1030 is subnormal, but h_1030(0.5, 0.5) = 1031 / 2**1030 is not
+        got = complete_homogeneous(1030, [0.5, 0.5])
+        assert math.isclose(got, Fraction(1031, 2 ** 1030), rel_tol=1e-12)
 
     def test_enumerated_anchor(self):
         assert complete_homogeneous(2, [F(2), F(1)]) == 7
@@ -309,6 +323,19 @@ class TestElementary:
 
 
 class TestSchur:
+    def test_empty_shape_is_one(self):
+        exact, floats = schur((), [F(2), F(1, 2)]), schur((), [2.0, 0.5])
+        assert (exact, type(exact)) == (1, Fraction)
+        assert (floats, type(floats)) == (1.0, float)
+
+    def test_tuple_shape_is_coerced(self):
+        spec = Schur(Partition((2, 1)))
+        assert Schur((2, 1)) == spec  # equal fields: the shape is a Partition
+        for x in ([F(3), F(1), F(1, 3)], [3.0, 1.0, 1 / 3]):
+            for f in (rep_moduli, abs_character, spectral_radius_rep):
+                assert f(Schur((2, 1)), x) == f(spec, x)
+        assert rep_dim(Schur((2, 1)), 3) == rep_dim(spec, 3) == 8
+
     def test_single_row_is_h(self):
         x = ModuliVector.from_values([F(3), F(2), F(1)])
         assert schur((1,), x) == elementary(1, x) == complete_homogeneous(1, x)
@@ -386,6 +413,13 @@ class TestKostka:
 
 
 class TestRepModuli:
+    @pytest.mark.parametrize("spec", [Sym(0), Ext(0), Schur(Partition(()))])
+    def test_trivial_rep_keeps_the_arithmetic(self, spec):
+        # empty products start from 1.0 on floats and Fraction(1) on rationals
+        for x, kind in (([2.0, 0.5], float), ([F(2), F(1, 2)], Fraction)):
+            assert [type(v) for v in rep_moduli(spec, x).values] == [kind]
+            assert type(spectral_radius_rep(spec, x)) is kind
+
     def test_ext_pairwise_products(self):
         v = rep_moduli(Ext(2), [F(4), F(1, 2), F(1, 2)])
         assert v.values == (F(2), F(2), F(1, 4))
