@@ -10,23 +10,21 @@ prefix functionals (or separating characters) certifying failure.
 
 Comparison policy: rational inputs are compared exactly, on integers
 over one common denominator (the vectors' .integers); float comparisons
-treat differences within REL_SLACK of a scale as ties. Prefix tests on
-sums (permutohedron_certificate; kostant_compare and
-find_separating_character on float moduli, as centered logs) read
-per-level comparisons from one kernel, _prefix_cmp; each float caller
-supplies its own scale, and rational logs reach it as integers over one
-common denominator. On rational moduli the order is decided by a float
-filter on the logs of those integers, whose band is a proven bound on
+treat differences within REL_SLACK of a scale as ties, per prefix level
+in one kernel, _prefix_cmp. A pair of moduli vectors has one judge,
+_normalized_prefix_comparisons, whose levels order, witness and certify
+all read: float moduli as running sums of centered logs (_centered_logs,
+on which certify also refutes and chains), rational moduli by a float
+filter on the logs of their integers, whose band is a proven bound on
 the rounding of the logs (libm's log correct to a few ulps) and of their
-sums, with integer products behind it for the levels inside the band
-(_normalized_prefix_comparisons); the hull membership of rational moduli
-in permutohedron_certificate is that verdict, and one T-transform chain
-builder (_hlp_steps) serves integer and float certificates. Every h_m
-value comes from symchar's one h_m kernel: the witness search scans the
-logs of h_m degree by degree (_h_logs), and settles in-band h_m
-comparisons exactly under one tie rule (_h_sign); binary floats are
-rationals. A witness is accepted on the characters it reports, evaluated
-once per side (_h_compare, by _h_value).
+sums, with integer products behind it inside the band. One T-transform
+chain builder (_hlp_steps) serves integer and float certificates, and
+ends a float chain under the same tie rule. Every h_m value comes from
+symchar's one h_m kernel: the witness search scans the logs of h_m degree
+by degree (_h_logs), and settles in-band h_m comparisons exactly under
+one tie rule (_h_sign); binary floats are rationals. A witness is
+accepted on the characters it reports, evaluated once per side
+(_h_compare, by _h_value).
 """
 
 from __future__ import annotations
@@ -141,7 +139,8 @@ class TTransformCertificate:
 
     Each step (i, j, t) replaces coordinates i, j of the current vector v
     by t*v_i + (1-t)*v_j and (1-t)*v_i + t*v_j. Applying all steps to
-    start.values yields end.values.
+    start.values yields end.values: exactly on exact input, else within
+    twice the chain's tie band plus, on float moduli, the means' gap.
     """
 
     steps: tuple[tuple[int, int, object], ...]
@@ -199,9 +198,15 @@ class LogValue:
 # --- the order -------------------------------------------------------------------
 
 
-def _abs_scale(xs, ys) -> float:
-    return float(sum(abs(float(v)) for v in xs) +
-                 sum(abs(float(v)) for v in ys)) or 1.0
+def _centered_logs(lx, ly) -> tuple[list[float], list[float], float]:
+    """Centered logs and the order's tie scale on them, centering's gamma_(n+1) included."""
+    n = len(lx)
+    mean_x, mean_y = sum(lx) / n, sum(ly) / n
+    cx, cy = [v - mean_x for v in lx], [v - mean_y for v in ly]
+    spread = sum(map(abs, cx)) + sum(map(abs, cy))
+    ku = (n + 1) * 2.0 ** -53
+    rounding = ku / (1 - ku) * (spread + n * (abs(mean_x) + abs(mean_y)))
+    return cx, cy, spread + rounding / REL_SLACK or 1.0
 
 
 def kostant_compare(x, y) -> OrderVerdict:
@@ -240,10 +245,8 @@ def _normalized_prefix_comparisons(xv: ModuliVector, yv: ModuliVector) -> list[i
     2^-53, are the rounding terms of Higham, Accuracy and Stability of
     Numerical Algorithms, ch. 3.
 
-    Float input is compared on running sums of centered logs. Its tie
-    band also covers the rounding of centering, gamma_(n+1) sum |log|,
-    all that a scalar vector centers to; sum |log| is bounded by sum
-    |centered log| + n |mean|, which needs no more passes.
+    Float input is compared on running sums of centered logs, in the
+    band of _centered_logs.
 
     Exact input is decided by a float filter with integers behind it
     (Shewchuk, Discrete Comput. Geom. 18, 1997), so no verdict moves.
@@ -286,15 +289,8 @@ def _normalized_prefix_comparisons(xv: ModuliVector, yv: ModuliVector) -> list[i
                     lhs, rhs = a[k - 1] ** n * b[-1] ** k, b[k - 1] ** n * a[-1] ** k
                     signs[k - 1] = (lhs > rhs) - (lhs < rhs)
         return signs
-    lx, ly = xv.log_values(), yv.log_values()
-    mean_x = sum(lx) / n
-    mean_y = sum(ly) / n
-    cx = [v - mean_x for v in lx]
-    cy = [v - mean_y for v in ly]
-    spread = sum(map(abs, cx)) + sum(map(abs, cy))
-    ku = (n + 1) * 2.0 ** -53
-    rounding = ku / (1 - ku) * (spread + n * (abs(mean_x) + abs(mean_y)))
-    return _prefix_cmp(cx[:-1], cy[:-1], spread + rounding / REL_SLACK or 1.0)
+    cx, cy, scale = _centered_logs(xv.log_values(), yv.log_values())
+    return _prefix_cmp(cx[:-1], cy[:-1], scale)
 
 
 def _level_logs(nums, den: int) -> tuple[list[float], float]:
@@ -319,10 +315,12 @@ def permutohedron_certificate(x, y):
     failing prefix level. Raises SumMismatch when the totals differ (the
     hull question is then vacuous). Rational input is decided, and its
     chain built, on the integers that one common denominator makes of it.
-    A ModuliVector pair stands for its logs; on rational moduli membership
-    is kostant_compare's exact verdict, a non-member's margin comes from
-    the exact ratio P_k(y) / P_k(x), and a member's chain from float logs.
-    A ModuliVector against anything else is a ParseError.
+    A ModuliVector pair stands for its logs (against anything else, a
+    ParseError), read as kostant_compare reads them: float moduli as
+    centered logs, for levels, margin and chain; rational moduli with an
+    exact margin log P_k(y)/P_k(x), and a chain on logs of fl(p/q) =
+    (p/q)(1 + d), |d| <= u = 2^-53, each off by u plus the ulps REL_SLACK *
+    sum |log| covers; a level sums 2n of them: the scale adds 2n u / REL_SLACK.
     """
     if (moduli := isinstance(x, ModuliVector)) != isinstance(y, ModuliVector):
         raise ParseError("permutohedron_certificate takes two ModuliVectors or two log "
@@ -343,9 +341,16 @@ def permutohedron_certificate(x, y):
         scale = None
     else:
         xs, ys = lx.values, ly.values
-        scale = _abs_scale(xs, ys)
-    levels = _prefix_cmp(xs, ys, scale) if not rational else [
-        *_normalized_prefix_comparisons(xm, ym), xm.product() != ym.product()]
+        scale = (float(sum(map(abs, xs)) + sum(map(abs, ys))) or 1.0) + \
+            rational * 2 * lx.n * 2.0 ** -53 / REL_SLACK
+    if not moduli:
+        levels = _prefix_cmp(xs, ys, scale)
+    elif rational:
+        levels = [*_normalized_prefix_comparisons(xm, ym), xm.product() != ym.product()]
+    else:  # the order's centered logs and band; the totals uncentered
+        total = _prefix_cmp([sum(xs)], [sum(ys)], scale)
+        xs, ys, scale = _centered_logs(xs, ys)
+        levels = _prefix_cmp(xs[:-1], ys[:-1], scale) + total
     if levels[-1] != 0:
         raise SumMismatch(f"totals differ: {sum(lx.values)} vs {sum(ly.values)}")
     failing = next((k for k, c in enumerate(levels[:-1], start=1) if c < 0), None)
@@ -370,23 +375,23 @@ def _hlp_steps(work: list, target: list,
     majorization; at most n-1 rounds are needed. Without a scale, as in
     _prefix_cmp, the entries are integers (rationals over a common
     denominator) and the weights t = 1 - delta / gap exact Fractions.
-    Float input: differences within 1e-14 * scale count as met, and so
-    does float dust within ten times that left on one side only.
+    Float input pairs only differences past 1e-14 * scale, and passes over
+    dust after the last pair; the chain ends once _prefix_cmp(work, target,
+    scale) reads every level as a tie.
     """
     thr = 0 if scale is None else 1e-14 * scale
     steps: list[tuple[int, int, object]] = []
     for _ in range(len(work)):
         diffs = [w - t for w, t in zip(work, target)]
-        # j: the last coordinate above its target; k: the first one after
-        # j below its target
-        j = k = None
+        # the last pair of j above its target and k, the first after j below it
+        j = k = above = None
         for i, d in enumerate(diffs):
             if d > thr:
-                j, k = i, None
-            elif d < -thr and k is None and j is not None:
-                k = i
-        if k is None:  # every target met, or float dust on one side only
-            if max(map(abs, diffs)) <= 10 * thr:
+                above = i
+            elif d < -thr and above is not None:
+                j, k, above = above, i, None
+        if k is None:  # what is left ties at every level, or work did not majorize target
+            if not any(_prefix_cmp(work, target, scale)):
                 return steps
             raise AssertionError("T-transform chain stalled; inputs not majorized?")
         delta = min(diffs[j], -diffs[k])
@@ -409,7 +414,7 @@ def apply_t_transforms(start, steps) -> list:
 
 
 def verify_certificate(cert: TTransformCertificate) -> float:
-    """Max absolute replay error |T(start) - end|; 0 for exact inputs."""
+    """Max absolute replay error |T(start) - end| (its bounds: TTransformCertificate)."""
     replayed = apply_t_transforms(cert.start.values, cert.steps)
     return max(abs(float(a - b)) for a, b in zip(replayed, cert.end.values))
 
@@ -509,7 +514,7 @@ def _least_paper_degree(c, d, n: int, log_ratio: _LogRatio | None = None) -> int
     hi = 1
     while not proven(hi):
         hi *= 2
-        if hi > 10 ** 15:
+        if hi.bit_length() > 1000:  # from 2^1000 on, m * log(c/d) may overflow
             raise NotSeparable("paper degree bound overflowed the search range")
     lo = hi // 2
     while lo + 1 < hi:

@@ -199,6 +199,9 @@ def build_cases() -> list[dict]:
         x, y = ["2", "1/2"], [str(a), str(1 / a)]
         pair_cases(f"near-exact-{delta:g}", x, y, ["--exact"])
         pair_cases(f"near-exact-{delta:g}-rev", y, x, ["--exact"])
+    near_one = ["1000000000001/1000000000000", "1000000000000/1000000000001"]
+    pair_cases("near-one-exact", near_one, ["1", "1"], ["--exact"])
+    pair_cases("near-one-exact-rev", ["1", "1"], near_one, ["--exact"])
     unipotent, identity = {"entries": [[0, 1], [-1, 2]]}, moduli([1, 1])
     for flags in ([], ["--exact"]):
         tag = "unipotent" + ("-exact" if flags else "")

@@ -40,7 +40,7 @@ SYMCHAR, CLI = "src/kostant/symchar.py", "src/kostant/cli.py"
 MUTANTS = (
     # decision constants, each moved both ways
     Mutant("rel-slack-narrow", ORDER, "REL_SLACK = 1e-10", "REL_SLACK = 1e-13", (
-        "tests/test_cli.py::test_internal_check_failure_is_a_numerical_failure",)),
+        "tests/test_golden.py::test_report_matches_the_corpus[near-float-1e-11-certify]",)),
     Mutant("rel-slack-wide", ORDER, "REL_SLACK = 1e-10", "REL_SLACK = 1e-7", (
         "tests/test_order.py::test_float_differences_past_the_tie_band_are_decided",)),
     Mutant("paper-band-half", ORDER, "PAPER_BAND_EPS = 8 * 2.0 ** -52",
@@ -78,6 +78,23 @@ MUTANTS = (
            "PROJECTOR_NORM_CAP = 1e6", (
                "tests/test_linalg.py::TestSpectralProjectors"
                "::test_projector_norms_match_formed_projectors",)),
+    # one tie rule per moduli pair: the chain's end and scan, its rational
+    # rounding term, float moduli on centered logs, the paper degree search bound
+    Mutant("chain-end-unchecked", ORDER, "if not any(_prefix_cmp(work, target, scale)):",
+           "if True:", (
+               "tests/test_cli.py::test_internal_check_failure_is_a_numerical_failure",)),
+    Mutant("chain-rational-rounding", ORDER, "rational * 2 * lx.n * 2.0 ** -53 / REL_SLACK",
+           "rational * 0", (
+               "tests/test_golden.py::test_report_matches_the_corpus[near-one-exact-certify]",)),
+    Mutant("chain-scan-resets", ORDER, "                above = i\n",
+           "                above, j, k = i, None, None\n", (
+               "tests/test_order.py::TestNearTies::test_totals_apart_inside_the_band",)),
+    Mutant("certify-uncentered", ORDER, "xs, ys, scale = _centered_logs(xs, ys)",
+           "_, _, scale = _centered_logs(xs, ys)", (
+               "tests/test_order.py::TestNearTies::test_product_far_from_one",)),
+    Mutant("paper-search-bound", ORDER, "if hi.bit_length() > 1000:", "if hi > 10 ** 15:", (
+        "tests/test_order.py::TestFindSeparatingCharacter"
+        "::test_paper_degree_past_the_old_search_range",)),
     # the CLI's option checks and exit codes
     Mutant("tol-finite", CLI, "if not 0 < value < math.inf:", "if not 0 < value:", (
         "tests/test_cli.py::test_bad_option_values_are_usage_errors",)),

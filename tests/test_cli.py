@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kostant
-from kostant import complete_homogeneous
+from kostant import complete_homogeneous, order
 from kostant.cli import main
 from kostant.serialize import parse_matrix
 
@@ -187,9 +187,10 @@ def test_dim_cap_reaches_the_witness_search(inputs, capsys):
 
 
 def test_dimension_cap_names_the_reason_of_each_level(tmp_path, capsys):
-    # an exact pair that h_1 separates, refused because the paper degree
-    # search overflows: the report says so, not only that a cap was hit
-    a = 2 * (1 + Fraction(1, 10 ** 14))
+    # an exact pair that h_1 separates, refused because the float log of
+    # its radius ratio 1 + 10^-400 is 0, so no paper degree is proven: the
+    # report says so, not only that a cap was hit
+    a = 2 * (1 + Fraction(1, 10 ** 400))
     (tmp_path / "x.json").write_text(json.dumps({"values": ["2", "1/2"]}))
     (tmp_path / "y.json").write_text(json.dumps({"values": [str(a), str(1 / a)]}))
     code, report = run_json(["witness", "--exact", "--h1", str(tmp_path / "x.json"),
@@ -283,12 +284,15 @@ def test_char_index_errors(spec, error, message, inputs, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [[], ["--exact"]])
-def test_internal_check_failure_is_a_numerical_failure(flags, tmp_path, capsys):
-    # a near tie at level 1 in floats: the T-transform chain stalls on this
-    # pair, which must not read as exit 1, "not a member"
-    a = 2 * (1 + 1e-11)
-    (tmp_path / "x.json").write_text(json.dumps({"values": [2.0, 0.5]}))
-    (tmp_path / "y.json").write_text(json.dumps({"values": [a, 1 / a]}))
+def test_internal_check_failure_is_a_numerical_failure(flags, tmp_path, capsys, monkeypatch):
+    # the chain builder is handed a target that its start does not
+    # majorize, so its internal check fails; that must not read as exit 1,
+    # "not a member"
+    hlp_steps = order._hlp_steps
+    monkeypatch.setattr(order, "_hlp_steps", lambda work, target, scale: hlp_steps(
+        work, [3 * t for t in target], scale))
+    (tmp_path / "x.json").write_text(json.dumps({"values": [4.0, 0.25]}))
+    (tmp_path / "y.json").write_text(json.dumps({"values": [2.0, 0.5]}))
     code, report = run_json(["certify", "--x", str(tmp_path / "x.json"),
                              "--y", str(tmp_path / "y.json"), *flags], capsys)
     assert code == 3

@@ -390,8 +390,9 @@ class TestPermutohedronCertificate:
             ratio = math.prod(y.values[:k]) / math.prod(x.values[:k])
             assert result.margin > 0
             assert math.isclose(result.margin, math.log(ratio), rel_tol=1e-12)
-            if not exact:  # floats: the answer on moduli is the answer on logs
-                assert result == permutohedron_certificate(x.log_values(), y.log_values())
+            if not exact:  # floats: the answer on moduli is the answer on centered logs
+                cx, cy, _ = order._centered_logs(x.log_values(), y.log_values())
+                assert result == permutohedron_certificate(cx, cy)
 
     def test_moduli_pair_past_float_range(self):
         big = F(10 ** 400, 3)
@@ -633,6 +634,81 @@ def test_pinned_certificates(tag):
     assert repr(permutohedron_certificate(x, y)) == PINNED_CHAINS[tag]
 
 
+NEAR_TIE_EPS = (0, 1e-16, 1e-14, 1e-12, 1e-11, 1e-10, 3e-10, 1e-9, 1e-6)
+
+
+class TestNearTies:
+    # order, certify and witness on pairs tied within eps at some levels:
+    # one pair of coordinates of x scaled by 1 + eps and its inverse; float
+    # x is also scaled by e^shift, a product far from 1
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(2, 8), st.booleans(), st.sampled_from(NEAR_TIE_EPS),
+           st.sampled_from((1, -1)), st.sampled_from((0.0, 2.0, -50.0)),
+           st.integers(0, 2 ** 32 - 1))
+    def test_one_verdict_per_pair(self, n, rational, eps, sign, shift, seed):
+        rng = np.random.default_rng(seed)
+        x = exact_sl_moduli(rng, n) if rational else random_sl_moduli(rng, n)
+        i, j = sorted(rng.choice(n, size=2, replace=False))
+        f = 1 + sign * (F(str(eps)) if rational else eps)
+        values = list(x.values) if rational else [v * math.exp(shift) for v in x.values]
+        x = ModuliVector.from_values(values)
+        values[i], values[j] = values[i] * f, values[j] / f
+        y = ModuliVector.from_values(values)
+        # a float chain stops once every level ties: twice the band of its
+        # scale, at most 2 (sum |log|) for centered logs, plus the means' gap
+        size = sum(map(abs, x.log_values())) + sum(map(abs, y.log_values()))
+        bound = 5 * order.REL_SLACK * size + 4 * n * 2.0 ** -53
+        for a, b in ((x, y), (y, x)):
+            verdict = kostant_compare(a, b)
+            member = verdict.relation in (GEQ, EQUAL)
+            cert = permutohedron_certificate(a, b)
+            assert isinstance(cert, TTransformCertificate) == member
+            if member:
+                assert verify_certificate(cert) <= bound
+            else:
+                assert cert.k == verdict.failing_level
+                assert cert.margin > 0
+            try:
+                find_separating_character(a, b)
+            except OrderHolds:
+                assert member
+            except DimensionCap:
+                assert not member
+            else:
+                assert not member
+
+    def test_product_far_from_one(self):
+        # the totals tie inside their band but differ by 3.9e-8, past the
+        # band of the centered logs: the level and its margin come from
+        # those centered logs, not from the raw ones, on which it is -1e-8
+        x = ModuliVector.from_values([math.exp(101), math.exp(99)])
+        y = ModuliVector.from_values([math.exp(101 - 1e-8), math.exp(99 - 2.9e-8)])
+        functional = permutohedron_certificate(x, y)
+        assert functional.k == kostant_compare(x, y).failing_level == 1
+        assert functional.margin == functional.value_at_y - functional.hull_max > 0
+        # members whose uncentered logs tie in a narrower band than the
+        # centered ones the order reads
+        for n, eps in ((2, 5.9e-10), (3, 2.5e-10), (8, 3e-10)):
+            x = ModuliVector.from_values([math.e] + [1.0] * (n - 1))
+            y = ModuliVector.from_values(
+                [math.e * (1 + eps)] + [1.0] * (n - 2) + [1 / (1 + eps)])
+            for a, b in ((x, y), (y, x)):
+                member = kostant_compare(a, b).relation in (GEQ, EQUAL)
+                assert isinstance(permutohedron_certificate(a, b), TTransformCertificate) == member
+
+    def test_totals_apart_inside_the_band(self):
+        # the totals differ by 1e-12, a tie, so the last coordinate lies
+        # above its target by that much, after the pair (0, 1) that the
+        # chain needs: the scan must still find that pair
+        x, y = [1.0, 0.0, -1.0], [0.9, 0.1, -1.0 - 1e-12]
+        xm, ym = (ModuliVector.from_values([math.exp(v) for v in w]) for w in (x, y))
+        assert kostant_compare(xm, ym).relation == GEQ
+        for a, b in ((x, y), (xm, ym)):
+            cert = permutohedron_certificate(a, b)
+            assert [step[:2] for step in cert.steps] == [(0, 1)]
+            assert verify_certificate(cert) < 2e-12
+
+
 class TestSeparatingSymPower:
     def test_paper_bound_anchor(self):
         # ratio 2, two variables: 2^6 = 64 = 8^2 fails, 2^7 = 128 > 81
@@ -851,8 +927,9 @@ class TestFindSeparatingCharacter:
         assert len(scans) == 2 and evaluations == [w.m, w.m]
 
     def test_dimension_cap_names_each_skipped_level(self):
-        # h_1 separates, but the paper degree search overflows first
-        a = 2 * (1 + F(1, 10 ** 14))
+        # h_1 separates, but the float log of the radius ratio 1 + 10^-400
+        # is 0, so the paper degree search finds no proven degree first
+        a = 2 * (1 + F(1, 10 ** 400))
         x, y = [F(2), F(1, 2)], [a, 1 / a]
         advice = "use exact inputs and dim_cap=None"
         with pytest.raises(DimensionCap) as exc:
@@ -868,6 +945,12 @@ class TestFindSeparatingCharacter:
             find_separating_character(x, y, dim_cap=1)
         assert "level 1: degree budget 0 < 1" in str(exc.value)
         assert advice in str(exc.value)
+
+    def test_paper_degree_past_the_old_search_range(self):
+        # h_1 separates; the paper degree, above 10^15, bounds the scan
+        a = 2 * (1 + F(1, 10 ** 14))
+        w = find_separating_character([F(2), F(1, 2)], [a, 1 / a], dim_cap=None)
+        assert (w.k, w.m, w.paper_bound_m) == (1, 1, 7305480235728234)
 
     def test_dominating_pair_raises(self):
         with pytest.raises(OrderHolds):
