@@ -17,7 +17,8 @@ one); nothing here needs a matrix library. Rational input of degree d
 is evaluated on integers over one common denominator D, divided once by
 D**d (ModuliVector.integers).
 Schur weights are read off Gelfand-Tsetlin patterns, one row at a time
-(_interlacing); Schur values come from Jacobi-Trudi.
+(_interlacing); Schur values come from Jacobi-Trudi, exact ones by
+fraction-free elimination on the integers (_bareiss), then one division.
 Every h_m (complete homogeneous) evaluation of the package is made
 here. Float values, their logarithms and the float Jacobi-Trudi entries
 of schur come from one recurrence, _h_scan: it runs on the moduli
@@ -398,9 +399,11 @@ def schur(shape: Partition, x):
     """Schur polynomial s_shape(x) via the Jacobi-Trudi determinant.
 
     det(h_{shape_i - i + j}) over i, j = 1..len(shape). Exact input gives
-    an exact rational value. In float mode a determinant whose magnitude
-    falls under 1e-8 of its Hadamard bound has lost significance and is
-    recomputed exactly from the (exactly rational) float inputs.
+    an exact rational value: the matrix of h_d on the integers D x, its
+    determinant by fraction-free elimination, divided once by D**|shape|.
+    In float mode a determinant whose magnitude falls under 1e-8 of its
+    Hadamard bound has lost significance and is recomputed exactly from
+    the (exactly rational) float inputs.
     """
     x = _as_moduli(x)
     shape = _as_partition(shape)
@@ -435,15 +438,44 @@ def _jacobi_trudi(shape: Partition, h: list) -> list[list]:
 
 
 def _jacobi_trudi_exact(shape: Partition, x: ModuliVector) -> Fraction:
-    """det(D**d h_d(x)), d = shape_i - i + j, is s_shape(x) D**|shape|."""
+    """det(D**d h_d(x)), d = shape_i - i + j, is s_shape(x) D**|shape|:
+    the Jacobi-Trudi matrix of h_d(a) on the integers a = D x, its
+    determinant by _bareiss, divided once."""
     a, den = x.integers or _over_lcm(x.as_fractions())
-    h = [Fraction(v) for v in _h_exact(a, _top_degree(shape))]  # _det divides
-    return Fraction(_det(_jacobi_trudi(shape, h)), den ** sum(shape.parts))
+    h = list(_h_exact(a, _top_degree(shape)))
+    return Fraction(_bareiss(_jacobi_trudi(shape, h)), den ** sum(shape.parts))
+
+
+def _bareiss(matrix: list[list[int]]) -> int:
+    """Determinant of an integer Jacobi-Trudi matrix by fraction-free
+    elimination (E. H. Bareiss, Math. Comp. 22, 1968): each step sets the
+    entries below and right of its pivot to (pivot * entry - lead * top)
+    over the previous pivot, a division that is exact (Sylvester's
+    identity), so every entry stays an integer; the last is the determinant.
+
+    No row is swapped: after k steps the pivot is the leading (k+1) x (k+1)
+    minor, which for the Jacobi-Trudi matrix of a shape is
+    s_(shape_1..shape_(k+1))(a) > 0 on positive integers a.
+    """
+    m = [row[:] for row in matrix]
+    n = len(m)
+    prev = 1
+    for k in range(n - 1):
+        top = m[k]
+        pivot = top[k]
+        rest = range(k + 1, n)
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in rest:
+                row[j] = (pivot * row[j] - lead * top[j]) // prev
+        prev = pivot
+    return m[-1][-1]
 
 
 def _det(matrix: list[list]):
     """Determinant by Gaussian elimination with partial pivoting, in the
-    arithmetic of the entries: exact for Fractions, LU rounding for floats."""
+    arithmetic of the entries: it serves float Jacobi-Trudi (LU rounding);
+    exact Jacobi-Trudi runs on integers in _bareiss."""
     n = len(matrix)
     m = [row[:] for row in matrix]
     det = 1
@@ -625,12 +657,28 @@ def spectral_radius_rep(spec: RepSpec, x, cap: int | None = DEFAULT_MODULI_CAP):
     return _walk(spec, x, _RADIUS, cap)
 
 
+def _radius_ext(k: int, x: ModuliVector):
+    """x_1 ... x_k; exact x on its integers, divided once."""
+    k = _check_ext(k, x.n)
+    if x.exact:
+        a, den = x.integers
+        return Fraction(math.prod(a[:k]), den ** k)
+    return math.prod(x.values[:k], start=1.0)
+
+
+def _radius_schur(shape: Partition, x: ModuliVector):
+    """The dominant weight x_1^shape_1 ... x_l^shape_l: the largest moduli
+    get the largest exponents; exact x on its integers, divided once."""
+    parts = _check_schur(shape, x.n).parts
+    if x.exact:
+        a, den = x.integers
+        return Fraction(math.prod([p ** e for p, e in zip(a, parts)]), den ** sum(parts))
+    return math.prod((v ** p for v, p in zip(x.values, parts)), start=1.0)
+
+
 _RADIUS = _Algebra(
     sym=lambda m, x: x.values[0] ** m if m > 0 else _one(x),
-    ext=lambda k, x: math.prod(x.values[:_check_ext(k, x.n)], start=_one(x)),
-    # the dominant weight: the largest moduli get the largest exponents
-    schur=lambda shape, x: math.prod(
-        (v ** p for v, p in zip(x.values, _check_schur(shape, x.n).parts)), start=_one(x)),
+    ext=_radius_ext, schur=_radius_schur,
     product=operator.mul, add=max, lift=rep_moduli)
 
 

@@ -45,7 +45,7 @@ from kostant import (
     verify_certificate,
 )
 from kostant import cli, order, symchar
-from kostant.order import PAPER_EXACT_LIMIT, _h_sign, _least_paper_degree
+from kostant.order import PAPER_EXACT_LIMIT, _h_sign, _least_paper_degree, _LogRatio
 
 from conftest import (
     brute_force_h,
@@ -806,6 +806,19 @@ class TestSeparatingSymPower:
                         - 2 * Decimal(m + 2).ln())
 
         assert gap(m_paper) > 0 and gap(m_paper - 1) <= 0
+
+    def test_gap_of_six_ulps_is_undecided(self):
+        # The band is PAPER_BAND_EPS = 8 ulps of 1 of the scale
+        # m * magnitude + log_bound: a gap of 6 is inside it, one of 12
+        # outside (each to within the rounding of log_bound).
+        log_ratio = _LogRatio.of(F(2), F(1))  # log = magnitude = log 2
+        for ulps, decided in ((6, 0), (12, 1)):
+            for side in (1, -1):
+                log_bound = log_ratio.log * (1 - side * ulps * 2.0 ** -51)
+                gap = log_ratio.log - log_bound
+                scale = log_ratio.magnitude + log_bound
+                assert ulps - 0.5 < abs(gap) / scale / 2.0 ** -52 < ulps + 0.5
+                assert log_ratio.sign(1, log_bound) == side * decided
 
     def test_paper_chain_holds_at_bound(self):
         c_vec = ModuliVector.from_values([F(3), F(1, 3)])

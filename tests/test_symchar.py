@@ -286,6 +286,20 @@ class TestIntegerKernels:
                 assert schur(shape, values) == brute_force_schur(shape, values)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.lists(wide_rationals(), min_size=n, max_size=n),
+        st.lists(st.integers(1, 12), min_size=1, max_size=n))))
+    def test_schur_matches_fraction_elimination(self, case):
+        # the reference is Gaussian elimination in Fractions on the
+        # Jacobi-Trudi matrix of the values themselves
+        values, parts = case
+        parts = sorted(parts, reverse=True)
+        h = [complete_homogeneous(d, values) for d in range(parts[0] + len(parts))]
+        matrix = [[h[p - i + j] if p - i + j >= 0 else 0 for j in range(len(parts))]
+                  for i, p in enumerate(parts)]
+        assert schur(parts, values) == _det(matrix)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.lists(wide_rationals(), min_size=2, max_size=4), st.sampled_from(REP_SPECS))
     def test_rep_moduli_and_characters_match_fraction_oracle(self, values, spec):
         moduli = brute_force_moduli(spec, values)
