@@ -17,21 +17,24 @@ one); nothing here needs a matrix library. Rational input of degree d
 is evaluated on integers over one common denominator D, divided once by
 D**d (ModuliVector.integers).
 Schur weights are read off Gelfand-Tsetlin patterns, one row at a time
-(_interlacing); Schur values come from Jacobi-Trudi, exact ones by
-fraction-free elimination on the integers (_bareiss), then one division.
+(_interlacing). Schur values, float and rational alike, come from one
+kernel: Jacobi-Trudi on the integers a = D x (_integers; a binary float
+is a dyadic rational), its determinant by fraction-free elimination
+(_bareiss), then one division, which rounds once for float input.
 Every h_m (complete homogeneous) evaluation of the package is made
-here. Float values, their logarithms and the float Jacobi-Trudi entries
-of schur come from one recurrence, _h_scan: it runs on the moduli
-divided by the largest, so its row stays within binom(m+n-1, n-1), and
-it rescales by powers of two past a guard, so one pass gives h_m and
-log h_m at every degree. Its (h, shift) form stays in this module:
+here. Float values and their logarithms come from one recurrence,
+_h_scan: it runs on the moduli divided by the largest, so its row stays
+within binom(m+n-1, n-1), and it rescales by powers of two past a guard,
+so one pass gives h_m and log h_m at every degree. Its (h, shift) form
+stays in this module:
 _h_value gives h_m at one degree with its log, and _h_logs yields log h_m
 at every degree up to a bound, reading rational moduli as their exact
 ratios to the largest, so none past float range meets a float (order's
-degree scan zips two of them). _h_exact is the exact counterpart for
-rational input, and _h_exact_at its value at one degree.
-complete_homogeneous raises Overflow exactly when h_m is not a finite
-float; complete_homogeneous_log has no such limit.
+degree scan zips two of them). _h_exact is the exact counterpart on
+integers, and _h_exact_at its value at one degree.
+complete_homogeneous, schur, abs_character and spectral_radius_rep raise
+Overflow exactly when a float value is not finite;
+complete_homogeneous_log has no such limit.
 """
 
 from __future__ import annotations
@@ -108,6 +111,17 @@ def _over_lcm(values) -> tuple[tuple[int, ...], int] | None:
     dens = [v.denominator for v in values]
     den = math.lcm(*dens)
     return tuple([v.numerator * (den // q) for v, q in zip(values, dens)]), den
+
+
+def _integers(x: ModuliVector) -> tuple[tuple[int, ...], int]:
+    """(a, D), x.values[i] == a[i] / D with D the lcm of the denominators:
+    x.integers for rational x, else the integers of as_integer_ratio(),
+    whose denominators are powers of two for float entries."""
+    if x.integers:
+        return x.integers
+    ratios = [v.as_integer_ratio() for v in x.values]
+    den = math.lcm(*[q for _, q in ratios])
+    return tuple([p * (den // q) for p, q in ratios]), den
 
 
 @frozen
@@ -309,7 +323,7 @@ def _h_logs(v: ModuliVector, m_max: int):
 
 def _h_exact_at(m: int, v: ModuliVector) -> Fraction:
     """h_m(v) exactly; binary floats are rationals."""
-    a, den = v.integers or _over_lcm(v.as_fractions())
+    a, den = _integers(v)
     return Fraction(_last(_h_exact(a, m)), den ** m)
 
 
@@ -398,35 +412,26 @@ def elementary(k: int, x):
 def schur(shape: Partition, x):
     """Schur polynomial s_shape(x) via the Jacobi-Trudi determinant.
 
-    det(h_{shape_i - i + j}) over i, j = 1..len(shape). Exact input gives
-    an exact rational value: the matrix of h_d on the integers D x, its
-    determinant by fraction-free elimination, divided once by D**|shape|.
-    In float mode a determinant whose magnitude falls under 1e-8 of its
-    Hadamard bound has lost significance and is recomputed exactly from
-    the (exactly rational) float inputs.
+    det(h_{shape_i - i + j}) over i, j = 1..len(shape), one way for every
+    input: the matrix of h_d on the integers a = D x (_integers), its
+    determinant by fraction-free elimination (_bareiss), divided once by
+    D**|shape|. Exact input gives that rational; float input its correctly
+    rounded float, and Overflow when that is past float range.
     """
     x = _as_moduli(x)
     shape = _as_partition(shape)
     _check_schur(shape, x.n)
     if shape.length == 0:
-        return Fraction(1) if x.exact else 1.0
+        return _one(x)
+    a, den = _integers(x)
+    h = list(_h_exact(a, shape.parts[0] + shape.length - 1))
+    det, scale = _bareiss(_jacobi_trudi(shape, h)), den ** sum(shape.parts)
     if x.exact:
-        return _jacobi_trudi_exact(shape, x)
-    values = x.as_floats()
-    h = [_scaled_to_float(values[0], d, *hd)
-         for d, hd in enumerate(_h_scan(values, _top_degree(shape)))]
-    matrix = _jacobi_trudi(shape, h)
-    det = float(_det(matrix))
-    hadamard = math.prod(math.hypot(*row) for row in matrix)
-    if hadamard > 0 and abs(det) < 1e-8 * hadamard:
-        # all significant digits cancelled; retry exactly
-        return float(_jacobi_trudi_exact(shape, x))
-    return det
-
-
-def _top_degree(shape: Partition) -> int:
-    """Largest h-degree in the Jacobi-Trudi matrix of the shape."""
-    return shape.parts[0] + shape.length - 1
+        return Fraction(det, scale)
+    try:
+        return det / scale  # int true division rounds correctly
+    except OverflowError:
+        raise Overflow(f"s_{shape.parts} exceeds float range") from None
 
 
 def _jacobi_trudi(shape: Partition, h: list) -> list[list]:
@@ -435,15 +440,6 @@ def _jacobi_trudi(shape: Partition, h: list) -> list[list]:
     return [[h[d] if d >= 0 else 0
              for d in (shape.parts[i] - i + j for j in range(ell))]
             for i in range(ell)]
-
-
-def _jacobi_trudi_exact(shape: Partition, x: ModuliVector) -> Fraction:
-    """det(D**d h_d(x)), d = shape_i - i + j, is s_shape(x) D**|shape|:
-    the Jacobi-Trudi matrix of h_d(a) on the integers a = D x, its
-    determinant by _bareiss, divided once."""
-    a, den = x.integers or _over_lcm(x.as_fractions())
-    h = list(_h_exact(a, _top_degree(shape)))
-    return Fraction(_bareiss(_jacobi_trudi(shape, h)), den ** sum(shape.parts))
 
 
 def _bareiss(matrix: list[list[int]]) -> int:
@@ -470,31 +466,6 @@ def _bareiss(matrix: list[list[int]]) -> int:
                 row[j] = (pivot * row[j] - lead * top[j]) // prev
         prev = pivot
     return m[-1][-1]
-
-
-def _det(matrix: list[list]):
-    """Determinant by Gaussian elimination with partial pivoting, in the
-    arithmetic of the entries: it serves float Jacobi-Trudi (LU rounding);
-    exact Jacobi-Trudi runs on integers in _bareiss."""
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    det = 1
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if not m[pivot][col]:
-            return det * 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        top = m[col]
-        det *= top[col]
-        for r in range(col + 1, n):
-            row = m[r]
-            factor = row[col] / top[col]
-            if factor:
-                for c in range(col + 1, n):
-                    row[c] -= factor * top[c]
-    return det
 
 
 # --- Gelfand-Tsetlin patterns -------------------------------------------------
@@ -639,9 +610,7 @@ def abs_character(spec: RepSpec, x, cap: int | None = DEFAULT_MODULI_CAP):
     rather than by enumerating the moduli multiset, so large symmetric
     powers stay cheap.
     """
-    x = _as_moduli(x)
-    _check_cap(spec, x.n, cap)
-    return _walk(spec, x, _CHARACTER, cap)
+    return _float_checked(spec, x, _CHARACTER, cap, "character")
 
 
 _CHARACTER = _Algebra(
@@ -652,9 +621,21 @@ _CHARACTER = _Algebra(
 
 def spectral_radius_rep(spec: RepSpec, x, cap: int | None = DEFAULT_MODULI_CAP):
     """Largest eigenvalue modulus of pi(g) for hyperbolic data x."""
+    return _float_checked(spec, x, _RADIUS, cap, "spectral radius")
+
+
+def _float_checked(spec: RepSpec, x, algebra: _Algebra, cap: int | None, what: str):
+    """The value of spec at x under the algebra, after the cap check;
+    Overflow when a float value is past float range."""
     x = _as_moduli(x)
     _check_cap(spec, x.n, cap)
-    return _walk(spec, x, _RADIUS, cap)
+    try:
+        value = _walk(spec, x, algebra, cap)
+    except OverflowError:  # float ** int past float range
+        value = math.inf
+    if value.__class__ is float and not math.isfinite(value):
+        raise Overflow(f"{what} exceeds float range")
+    return value
 
 
 def _radius_ext(k: int, x: ModuliVector):

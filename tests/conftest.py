@@ -199,6 +199,31 @@ def brute_force_schur(shape: tuple[int, ...], values) -> Fraction:
     return total
 
 
+def elimination_det(matrix: list[list]):
+    """Determinant by Gaussian elimination with partial pivoting, in the
+    arithmetic of the entries: Fraction entries give the exact determinant
+    by a path independent of the library's fraction-free kernel."""
+    n = len(matrix)
+    m = [row[:] for row in matrix]
+    det = 1
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(m[r][col]))
+        if not m[pivot][col]:
+            return det * 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        top = m[col]
+        det *= top[col]
+        for r in range(col + 1, n):
+            row = m[r]
+            factor = row[col] / top[col]
+            if factor:
+                for c in range(col + 1, n):
+                    row[c] -= factor * top[c]
+    return det
+
+
 def brute_force_e(k: int, values) -> Fraction:
     """Sum of the products of all k-subsets, by full enumeration."""
     return sum((math.prod(map(Fraction, combo)) for combo in combinations(values, k)),

@@ -119,6 +119,24 @@ MUTANTS = (
         "tests/test_symchar.py::TestIntegerKernels::test_schur_matches_fraction_elimination",)),
     Mutant("jacobi-trudi-scale", SYMCHAR, "den ** sum(shape.parts)", "den ** shape.length", (
         "tests/test_symchar.py::TestIntegerKernels::test_schur_matches_fraction_elimination",)),
+    # float Schur values on the same kernel: dyadic integers, one rounding,
+    # and Overflow past float range
+    Mutant("dyadic-denominator-min", SYMCHAR, "den = math.lcm(*[q for _, q in ratios])",
+           "den = min([q for _, q in ratios])", (
+               "tests/test_symchar.py::TestSchur"
+               "::test_float_value_past_the_range_of_its_entries",)),
+    Mutant("schur-float-division", SYMCHAR, "return det / scale",
+           "return float(det) / float(scale)", (
+               "tests/test_symchar.py::TestSchur"
+               "::test_float_value_past_the_range_of_its_entries",)),
+    Mutant("schur-overflow-unmapped", SYMCHAR,
+           'raise Overflow(f"s_{shape.parts} exceeds float range") from None', "raise", (
+               "tests/test_symchar.py::TestSchur::test_float_value_past_float_range_overflows",)),
+    Mutant("character-overflow-unchecked", SYMCHAR,
+           "if value.__class__ is float and not math.isfinite(value):", "if False:", (
+               "tests/test_symchar.py::TestAbsCharacter"
+               "::test_float_value_past_float_range_overflows",
+               "tests/test_cli.py::test_char_past_float_range_is_a_numerical_failure")),
     Mutant("schur-shape-coercion", SYMCHAR,
            'object.__setattr__(self, "shape", _as_partition(self.shape))',
            'object.__setattr__(self, "shape", self.shape)', (

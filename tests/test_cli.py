@@ -270,6 +270,19 @@ def test_char_on_schur_weight_above_twelve(tmp_path, capsys):
     assert report["dimension"] == 6930
 
 
+def test_char_past_float_range_is_a_numerical_failure(tmp_path, capsys):
+    # the character 1.4e381 is past float range; so is the radius 3**800
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"tensor": [{"sym": 400}, {"sym": 400}]}))
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps({"values": [3.0, 1.0, 1 / 3]}))
+    code, report = run_json(["char", "--spec", str(spec), "--x", str(x),
+                             "--dim-cap", str(10 ** 20)], capsys)
+    assert code == 3
+    assert (report["error"], report["message"]) == (
+        "Overflow", "character exceeds float range")
+
+
 @pytest.mark.parametrize("spec, error, message", [
     ({"ext": 4}, "BadIndex", "exterior power 4 exceeds dimension 3"),
     ({"compose": {"outer": {"schur": [1, 1, 1, 1]}, "inner": {"sym": 1}}},

@@ -201,12 +201,16 @@ def test_cli_imports_no_private_name():
     assert private_imports(PACKAGE / "cli.py") == []
 
 
-SCALED_H = ("_h_scan", "_h_exact", "_last", "_scaled_to_float", "_scaled_to_log",
-            "_scan_input")
+SCALED_H = ("_h_scan", "_h_exact", "_last", "_scaled_to_float", "_scaled_to_log")
 
 
 def test_order_evaluates_h_m_through_symchar():
-    # symchar owns every h_m evaluation; its scaled (h, shift) form stays there
+    # symchar owns every h_m evaluation; its scaled (h, shift) form stays
+    # there. Every guarded name is a function of symchar, so that a rename
+    # there cannot empty the guard unnoticed
+    defined = {node.name for node in ast.parse((PACKAGE / "symchar.py").read_text()).body
+               if isinstance(node, ast.FunctionDef)}
+    assert set(SCALED_H) <= defined
     assert [line for line in private_imports(PACKAGE / "order.py")
             if line.rsplit(" ", 1)[-1] in SCALED_H] == []
 

@@ -36,13 +36,14 @@ from kostant import (
     spectral_radius_rep,
 )
 from kostant.order import LogVector
-from kostant.symchar import _det, _h_exact, _h_scan, _last, _scaled_to_log
+from kostant.symchar import _h_exact, _h_scan, _last, _scaled_to_log
 
 from conftest import (
     brute_force_e,
     brute_force_h,
     brute_force_moduli,
     brute_force_schur,
+    elimination_det,
     enumerate_ssyt,
     random_sl,
     random_sl_moduli,
@@ -297,7 +298,8 @@ class TestIntegerKernels:
         h = [complete_homogeneous(d, values) for d in range(parts[0] + len(parts))]
         matrix = [[h[p - i + j] if p - i + j >= 0 else 0 for j in range(len(parts))]
                   for i, p in enumerate(parts)]
-        assert schur(parts, values) == _det(matrix)
+        got = schur(parts, values)
+        assert (got, type(got)) == (elimination_det(matrix), Fraction)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.lists(wide_rationals(), min_size=2, max_size=4), st.sampled_from(REP_SPECS))
@@ -380,11 +382,25 @@ class TestSchur:
             assert math.isclose(schur((1,) * k, x), elementary(k, x),
                                 rel_tol=1e-12)
 
-    def test_cancellation_triggers_exact_retry(self):
-        # s_(3,3)(a, b) = (a b)^3: float Jacobi-Trudi cancels catastrophically
+    def test_cancelling_shape_is_correctly_rounded(self):
+        # s_(3,3)(a, b) = (a b)^3: float Jacobi-Trudi cancels catastrophically;
+        # the integer determinant is exact and rounded once
         x = ModuliVector.from_values([1.0, 1e-6])
-        got = schur((3, 3), x)
-        assert math.isclose(got, 1e-18, rel_tol=1e-12)
+        assert schur((3, 3), x) == float(Fraction(1e-6) ** 3)
+
+    def test_float_value_past_the_range_of_its_entries(self):
+        # h_400(3, 1, 1/3) fits a float, h_400**2 does not, and s_(400,400)
+        # does; h_2(1e200, 1e-200) is past float range, s_(2,2) = 1 is not
+        x = ModuliVector.from_values([3.0, 1.0, 1 / 3])
+        h = [complete_homogeneous(d, x.as_fractions()) for d in (399, 400, 401)]
+        exact = h[1] ** 2 - h[0] * h[2]
+        assert schur((400, 400), x) == float(exact) == 1.1905445995855874e+191
+        exact = (Fraction(1e200) * Fraction(1e-200)) ** 2
+        assert schur((2, 2), [1e200, 1e-200]) == float(exact) == 0.9999999999999999
+
+    def test_float_value_past_float_range_overflows(self):
+        with pytest.raises(Overflow):
+            schur((400, 400), [3.0 ** 2, 1.0, 1 / 9])
 
     def test_too_long_partition(self):
         with pytest.raises(LengthMismatch):
@@ -395,24 +411,22 @@ class TestSchur:
            st.lists(st.floats(0.05, 20.0), min_size=5, max_size=5),
            st.integers(1, 5))
     def test_float_matches_tableau_enumeration(self, parts, values, n):
-        # the 1e-8 Hadamard cut leaves at most ~1e-8 relative error
+        # one rounding of the exact value of the float inputs
         shape = tuple(sorted(parts, reverse=True))
         x = ModuliVector.from_values(values[:max(n, len(shape))])
-        exact = brute_force_schur(shape, x.as_fractions())
         got = schur(shape, x)
-        assert isinstance(got, float)
-        assert abs(Fraction(got) - exact) <= Fraction(1, 10 ** 6) * exact
+        assert (got, type(got)) == (float(brute_force_schur(shape, x.as_fractions())), float)
 
     def test_row_swap_keeps_sign(self):
         # moduli below 1: h_0 = 1 outweighs h_2 in the first column of the
-        # Jacobi-Trudi matrix [[h_2, h_3], [h_0, h_1]], so pivoting swaps rows
+        # Jacobi-Trudi matrix [[h_2, h_3], [h_0, h_1]], so the reference's
+        # pivoting swaps rows; the fraction-free kernel swaps none
         x = ModuliVector.from_values([0.5, 0.25])
         h = [complete_homogeneous(d, x) for d in range(4)]
         assert h[0] > h[2]
-        expected = brute_force_schur((2, 1), x.as_fractions())
-        assert math.isclose(schur((2, 1), x), expected, rel_tol=1e-12)
-        assert _det([[F(0), F(1)], [F(1), F(0)]]) == -1
-        assert _det([[2.0, 3.0], [4.0, 5.0]]) == -2.0
+        assert schur((2, 1), x) == float(brute_force_schur((2, 1), x.as_fractions()))
+        assert elimination_det([[F(0), F(1)], [F(1), F(0)]]) == -1
+        assert elimination_det([[2.0, 3.0], [4.0, 5.0]]) == -2.0
 
 
 class TestKostka:
@@ -531,6 +545,18 @@ class TestAbsCharacter:
     def test_one_message_for_an_exterior_power_past_n(self, evaluate, cap):
         with pytest.raises(BadIndex, match="^exterior power 4 exceeds dimension 3$"):
             evaluate(Ext(4), [2.0, 1.0, 0.5], cap=cap)
+
+    @pytest.mark.parametrize("evaluate, spec", [
+        (abs_character, Tensor(Sym(400), Sym(400))),  # a product past float range
+        (abs_character, Schur(Partition((700, 700)))),
+        (spectral_radius_rep, Sym(700)),  # float ** int raises OverflowError
+        (spectral_radius_rep, Tensor(Sym(400), Sym(400)))])  # an inf product
+    def test_float_value_past_float_range_overflows(self, evaluate, spec):
+        x = [3.0, 1.0, 1 / 3]
+        with pytest.raises(Overflow, match="exceeds float range"):
+            evaluate(spec, x, cap=None)
+        # the exact value is a rational, past float range or not
+        assert evaluate(spec, [F(3), F(1), F(1, 3)], cap=None) > 10 ** 308
 
     def test_equals_trace_of_rep_matrix(self, rng):
         x = random_sl_moduli(rng, 3)
