@@ -19,10 +19,12 @@ filter on the logs of their integers, whose band is a proven bound on
 the rounding of the logs (libm's log correct to a few ulps) and of their
 sums, with integer products behind it inside the band. One T-transform
 chain builder (_hlp_steps) serves integer and float certificates, and
-ends a float chain under the same tie rule. Every h_m value comes from
-symchar's one h_m kernel: the witness search scans the logs of h_m degree
-by degree (_h_logs), and settles in-band h_m comparisons exactly under
-one tie rule (_h_sign); binary floats are rationals. A witness is
+ends a float chain under the same tie rule. separating_sym_power
+compares the Ext^k radii of a failing level exactly, with no band of its
+own. Every h_m value comes from symchar's one h_m kernel: the witness
+search scans the logs of h_m degree by degree (_h_logs), and settles
+in-band h_m comparisons exactly under one tie rule (_h_sign), on one
+exact pass per side; binary floats are rationals. A witness is
 accepted on the characters it reports, evaluated once per side
 (_h_compare, by _h_value).
 """
@@ -52,11 +54,10 @@ from .symchar import (
     RepSpec,
     Sym,
     _as_moduli,
+    _ExactH,
     _Sorted,
-    _h_exact_at,
     _h_logs,
     _h_value,
-    _is_exact,
     _over_lcm,
     rep_dim,
     rep_moduli,
@@ -72,32 +73,17 @@ EQUAL = "EQUAL"
 INCOMPARABLE = "INCOMPARABLE"
 
 
-def _cmp(a, b) -> int:
-    """Three-way compare: exact when both sides are rational or a side
-    does not fit a float, else float with a relative REL_SLACK band
-    treated as a tie."""
-    if _is_exact(a) and _is_exact(b):
-        return (a > b) - (a < b)
-    try:
-        fa, fb = float(a), float(b)
-    except OverflowError:  # a rational past float range needs no band
-        return (a > b) - (a < b)
-    if abs(fa - fb) <= REL_SLACK * max(abs(fa), abs(fb), 1.0):
-        return 0
-    return 1 if fa > fb else -1
-
-
 def _prefix_cmp(xs, ys, scale=None) -> list[int]:
     """Three-way comparisons of the running sums of xs and ys at each
     prefix level k = 1..len(xs): the one prefix-dominance kernel. Exact
-    without a scale (integers or rationals); with one, as in _cmp,
-    differences within REL_SLACK * scale are ties.
+    without a scale (integers or rationals); with one, differences within
+    REL_SLACK * scale are ties.
     """
     px, py = accumulate(xs), accumulate(ys)
     if scale is None:
         return [(a > b) - (a < b) for a, b in zip(px, py)]
     band = REL_SLACK * scale
-    # a NaN difference fails the level, as in _cmp
+    # a NaN difference fails the level
     return [(d > band) - (not d >= -band)
             for d in map(sub, map(float, px), map(float, py))]
 
@@ -430,23 +416,25 @@ def separating_sym_power(c_vec, d_vec, *,
     """Symmetric-power degrees separating two positive diagonal spectra.
 
     Requires the spectral radius c of c_vec to strictly exceed d of
-    d_vec. Returns (m_min, m_paper): m_min is the least m with
-    h_m(c_vec) > h_m(d_vec); m_paper is the least m with
-    (c/d)^m > (m+n)^n (above PAPER_EXACT_LIMIT: the least m that floats
-    prove), which guarantees the separation through the chain
-    h_m(c_vec) >= c^m > binom(m+n-1, n-1) d^m >= h_m(d_vec). m_min is
-    verified by evaluation. The middle link of the chain is checked at
-    m_paper in logs, in O(1); inside the rounding band the separation at
-    m_paper is evaluated instead (up to PAPER_EXACT_LIMIT). m_limit bounds
-    the m_min scan; NotSeparable is raised if no separation is found
-    within it (thin radius gaps may genuinely need a huge degree).
+    d_vec, compared exactly (an infinite c does not). Returns (m_min,
+    m_paper): m_min is the least m with h_m(c_vec) > h_m(d_vec); m_paper
+    is the least m with (c/d)^m > (m+n)^n (above PAPER_EXACT_LIMIT: the
+    least m that floats prove), which guarantees the separation through
+    the chain h_m(c_vec) >= c^m > binom(m+n-1, n-1) d^m >= h_m(d_vec).
+    m_min is verified by evaluation; the middle link is checked at m_paper
+    in logs, in O(1). As m log(c/d) > n log(m+n) is proven and
+    binom(m+n-1, n-1) <= (m+n)^(n-1), its gap is at least log(m+n) >=
+    log 2, past the band of _LogRatio.sign unless n or the magnitude
+    nears 10^14. Only m_limit bounds the m_min scan; NotSeparable is
+    raised if no degree within it separates (thin radius gaps may
+    genuinely need a huge degree, for rationals and floats alike).
     """
     cv, dv = _as_moduli(c_vec), _as_moduli(d_vec)
     if cv.n != dv.n:
         raise LengthMismatch(f"lengths {cv.n} != {dv.n}")
     n = cv.n
     c, d = cv.values[0], dv.values[0]
-    if _cmp(c, d) <= 0:
+    if not d < c < math.inf:
         raise NotSeparable(f"spectral radii do not separate: c = {c}, d = {d}")
 
     log_ratio = _LogRatio.of(c, d)
@@ -457,9 +445,7 @@ def separating_sym_power(c_vec, d_vec, *,
         raise NotSeparable(
             f"no separating symmetric power up to degree {scan_to} "
             f"(guaranteed bound is {m_paper})")
-    chain = log_ratio.sign(m_paper, math.log(math.comb(m_paper + n - 1, n - 1)))
-    if chain < 0 or (chain == 0 and m_paper <= PAPER_EXACT_LIMIT
-                     and _h_compare(m_paper, cv, dv)[0] <= 0):
+    if log_ratio.sign(m_paper, math.log(math.comb(m_paper + n - 1, n - 1))) <= 0:
         raise AssertionError("the paper degree failed to separate")
     return m_min, m_paper
 
@@ -542,31 +528,36 @@ def _h_compare(m: int, cv: ModuliVector, dv: ModuliVector) -> tuple[int, object,
 
 
 def _h_sign(m: int, log_c: float, log_d: float, cv: ModuliVector,
-            dv: ModuliVector) -> int:
+            dv: ModuliVector, exact: tuple[_ExactH, _ExactH] | None = None) -> int:
     """The tie rule for h_m(cv) vs h_m(dv), given their logs.
 
     Outside a relative band of 100 * REL_SLACK the logs decide. Inside it the
     exact values do, except above EXACT_TIE_DEGREE_LIMIT for float inputs
     (the rationals there are astronomically large), where the in-band
-    result is reported as a tie.
+    result is reported as a tie. The exact values come from a scan's
+    handles or a fresh pass per side, as h_c D_d^m against h_d D_c^m.
     """
     scale = max(abs(log_c), abs(log_d), 1.0)
     if abs(log_c - log_d) > 100 * REL_SLACK * scale:
         return 1 if log_c > log_d else -1
     if not (cv.exact and dv.exact) and m > EXACT_TIE_DEGREE_LIMIT:
         return 0
-    exact_c, exact_d = _h_exact_at(m, cv), _h_exact_at(m, dv)
-    return (exact_c > exact_d) - (exact_c < exact_d)
+    handle_c, handle_d = exact or (_ExactH(cv, m), _ExactH(dv, m))
+    (h_c, den_c), (h_d, den_d) = handle_c.at(m), handle_d.at(m)
+    lhs, rhs = h_c * den_d, h_d * den_c
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def _least_separating_degree(cv: ModuliVector, dv: ModuliVector,
                              m_stop: int) -> int | None:
     """Least m <= m_stop with h_m(cv) > h_m(dv) under the tie rule of
-    _h_sign, from the logs of one _h_scan pass per side (symchar._h_logs).
+    _h_sign, from the logs of one _h_scan pass per side (symchar._h_logs)
+    and one exact pass per side for in-band degrees (symchar._ExactH).
     Returns None when no degree up to m_stop separates.
     """
+    exact = _ExactH(cv, m_stop), _ExactH(dv, m_stop)
     for m, (log_c, log_d) in enumerate(zip(_h_logs(cv, m_stop), _h_logs(dv, m_stop))):
-        if m and _h_sign(m, log_c, log_d, cv, dv) > 0:
+        if m and _h_sign(m, log_c, log_d, cv, dv, exact) > 0:
             return m
     return None
 
@@ -652,7 +643,8 @@ def _normalize_sl(v: ModuliVector) -> ModuliVector:
             return v
         raise ValueError("exact moduli must have product exactly 1; "
                          "normalize before calling")
-    if abs(math.fsum(v.log_values())) <= 1e-9 * (sum(map(abs, v.log_values())) + 1):
+    logs = v.log_values()
+    if abs(math.fsum(logs)) <= 1e-9 * (sum(map(abs, logs)) + 1):
         return v
     return v.normalized()
 

@@ -31,7 +31,9 @@ _h_value gives h_m at one degree with its log, and _h_logs yields log h_m
 at every degree up to a bound, reading rational moduli as their exact
 ratios to the largest, so none past float range meets a float (order's
 degree scan zips two of them). _h_exact is the exact counterpart on
-integers, and _h_exact_at its value at one degree.
+integers; _ExactH reads it at rising degrees from one pass, begun at
+its first read. The spectral radius of a Sym, Ext or Schur leaf is one
+dominant weight (_dominant_weight).
 complete_homogeneous, schur, abs_character and spectral_radius_rep raise
 Overflow exactly when a float value is not finite;
 complete_homogeneous_log has no such limit.
@@ -294,7 +296,7 @@ def _h_value(m: int, v: ModuliVector) -> tuple[object, float]:
     value's integers; else from one _h_scan pass, the value None past
     float range."""
     if v.exact:
-        h = _h_exact_at(m, v)
+        h = Fraction(*_ExactH(v, m).at(m))
         return h, _rational_log(h)
     values = v.as_floats()
     scaled = _last(_h_scan(values, m))
@@ -321,10 +323,20 @@ def _h_logs(v: ModuliVector, m_max: int):
         yield _scaled_to_log(log_top, m, h, shift)
 
 
-def _h_exact_at(m: int, v: ModuliVector) -> Fraction:
-    """h_m(v) exactly; binary floats are rationals."""
-    a, den = _integers(v)
-    return Fraction(_last(_h_exact(a, m)), den ** m)
+class _ExactH:
+    """Exact h_m(v) at rising degrees m <= m_max from one _h_exact pass,
+    begun at the first read: at(m) = (h_m(a), D**m), a = D v (_integers)."""
+
+    def __init__(self, v: ModuliVector, m_max: int):
+        self._v, self._m_max, self._pass = v, m_max, None
+
+    def at(self, m: int) -> tuple[int, int]:
+        if self._pass is None:
+            a, self._den = _integers(self._v)
+            self._pass = enumerate(_h_exact(a, self._m_max))
+        for degree, h in self._pass:
+            if degree == m:
+                return h, self._den ** m
 
 
 def _h_exact(a: tuple[int, ...], m_max: int):
@@ -638,28 +650,19 @@ def _float_checked(spec: RepSpec, x, algebra: _Algebra, cap: int | None, what: s
     return value
 
 
-def _radius_ext(k: int, x: ModuliVector):
-    """x_1 ... x_k; exact x on its integers, divided once."""
-    k = _check_ext(k, x.n)
+def _dominant_weight(parts, x: ModuliVector):
+    """x_1^parts_1 x_2^parts_2 ..., the largest weight of Sym, Ext or Schur,
+    shape (m), (1^k) or its own; exact x on its integers, divided once."""
     if x.exact:
         a, den = x.integers
-        return Fraction(math.prod(a[:k]), den ** k)
-    return math.prod(x.values[:k], start=1.0)
-
-
-def _radius_schur(shape: Partition, x: ModuliVector):
-    """The dominant weight x_1^shape_1 ... x_l^shape_l: the largest moduli
-    get the largest exponents; exact x on its integers, divided once."""
-    parts = _check_schur(shape, x.n).parts
-    if x.exact:
-        a, den = x.integers
-        return Fraction(math.prod([p ** e for p, e in zip(a, parts)]), den ** sum(parts))
-    return math.prod((v ** p for v, p in zip(x.values, parts)), start=1.0)
+        return Fraction(math.prod(map(pow, a, parts)), den ** sum(parts))
+    return math.prod(map(pow, x.values, parts), start=1.0)
 
 
 _RADIUS = _Algebra(
-    sym=lambda m, x: x.values[0] ** m if m > 0 else _one(x),
-    ext=_radius_ext, schur=_radius_schur,
+    sym=lambda m, x: _dominant_weight((m,), x),
+    ext=lambda k, x: _dominant_weight((1,) * _check_ext(k, x.n), x),
+    schur=lambda shape, x: _dominant_weight(_check_schur(shape, x.n).parts, x),
     product=operator.mul, add=max, lift=rep_moduli)
 
 

@@ -202,6 +202,9 @@ def build_cases() -> list[dict]:
     near_one = ["1000000000001/1000000000000", "1000000000000/1000000000001"]
     pair_cases("near-one-exact", near_one, ["1", "1"], ["--exact"])
     pair_cases("near-one-exact-rev", ["1", "1"], near_one, ["--exact"])
+    # Ext^1 radii 5e-11 relative apart: degree 1 separates them
+    pair_cases("near-identity-float", [1.001, 1.0, 0.9990009990009991],
+               [1.0010000000500499, 1.0, 0.9990009989510491])
     unipotent, identity = {"entries": [[0, 1], [-1, 2]]}, moduli([1, 1])
     for flags in ([], ["--exact"]):
         tag = "unipotent" + ("-exact" if flags else "")

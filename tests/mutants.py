@@ -106,11 +106,8 @@ MUTANTS = (
     Mutant("products-start", SYMCHAR, "[math.prod(combo, start=1.0) for combo",
            "[math.prod(combo) for combo", (
                "tests/test_symchar.py::TestRepModuli::test_trivial_rep_keeps_the_arithmetic",)),
-    Mutant("radius-ext-start", SYMCHAR, "math.prod(x.values[:k], start=1.0)",
-           "math.prod(x.values[:k])", (
-               "tests/test_symchar.py::TestRepModuli::test_trivial_rep_keeps_the_arithmetic",)),
-    Mutant("radius-schur-start", SYMCHAR, "zip(x.values, parts)), start=1.0)",
-           "zip(x.values, parts)))", (
+    Mutant("dominant-weight-start", SYMCHAR, "math.prod(map(pow, x.values, parts), start=1.0)",
+           "math.prod(map(pow, x.values, parts))", (
                "tests/test_symchar.py::TestRepModuli::test_trivial_rep_keeps_the_arithmetic",)),
     # exact Jacobi-Trudi: the fraction-free elimination and its one division
     Mutant("bareiss-divisor", SYMCHAR, "// prev", "// 1", (
@@ -146,9 +143,17 @@ MUTANTS = (
            "tuple([v.numerator * (den // q) for v, q in zip(values, dens)])",
            "tuple([v.numerator for v, q in zip(values, dens)])", (
                "tests/test_symchar.py::TestModuliVector::test_sorting_and_exactness",)),
-    Mutant("no-exact-tie-break", ORDER, "return (exact_c > exact_d) - (exact_c < exact_d)",
-           "return 0", (
-               "tests/test_order.py::test_float_tie_band_above_the_exact_degree_limit",)),
+    Mutant("no-exact-tie-break", ORDER, "return (lhs > rhs) - (lhs < rhs)", "return 0", (
+        "tests/test_order.py::test_float_tie_band_above_the_exact_degree_limit",)),
+    # one rule for spectral radii, and one exact pass per side in the scan
+    Mutant("radius-test-inclusive", ORDER, "if not d < c < math.inf:",
+           "if not d <= c < math.inf:", (
+               "tests/test_order.py::TestSeparatingSymPower"
+               "::test_radii_that_do_not_separate_are_refused",)),
+    Mutant("exact-scan-restarts", ORDER, "_h_sign(m, log_c, log_d, cv, dv, exact) > 0",
+           "_h_sign(m, log_c, log_d, cv, dv) > 0", (
+               "tests/test_order.py::TestSeparatingSymPower"
+               "::test_exact_scan_continues_one_pass_per_side",)),
     Mutant("failing-level-off-by-one", ORDER, "failing = next(k + 1 for k, c",
            "failing = next(k for k, c", (
                "tests/test_order.py::test_float_differences_past_the_tie_band_are_decided",)),

@@ -166,6 +166,35 @@ def test_malformed_payloads_are_parse_errors(key, payload, inputs, tmp_path, cap
     assert (code, report["error"]) == (2, "ParseError")
 
 
+@pytest.mark.parametrize("key, payload, message", [
+    ("x", {"values": [True, 1.0]}, "expected a numeric scalar, got True"),
+    ("x", {"values": ["1/0", 1]}, "bad rational literal '1/0'"),
+    ("x", {"values": ["two", 1]}, "bad rational literal 'two'"),
+    ("x", {"values": [None, 1.0]}, "expected a numeric scalar, got None"),
+    ("x", {"entries": [[[1], 0], [0, 1]]}, "expected a complex entry, got [1]"),
+    ("x", {"entries": [[{"re": 1, "i": 0}]]},
+     "expected a complex entry, got {'re': 1, 'i': 0}"),
+    ("x", {"n": 2}, "matrix JSON must be an object with an 'entries' field"),
+    ("x", {"entries": []}, "matrix entries must be a nonempty list of rows"),
+    ("x", {"entries": [[1, 0], [0]]}, "matrix entries must form an 2 x 2 array"),
+    ("x", {"entries": [[1, 0], [0, 1]], "eigenvalues": [1]},
+     "eigenvalues must list one value per dimension"),
+    ("spec", {"sym": 1, "ext": 1}, "rep spec must be a single-key object, got "
+     "{'sym': 1, 'ext': 1}"),
+    ("spec", {"dsum": []}, "dsum takes a nonempty list"),
+    ("spec", {"compose": {"outer": {"sym": 1}}},
+     "compose takes {'outer': ..., 'inner': ...}"),
+    ("spec", {"wedge": 2}, "unknown rep spec kind 'wedge'"),
+])
+def test_malformed_payloads_name_their_fault(key, payload, message, inputs, tmp_path,
+                                             capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    command = {"x": "order", "spec": "char"}[key]
+    code, report = run_json(commands({**inputs, key: str(path)})[command], capsys)
+    assert (code, report["error"], report["message"]) == (2, "ParseError", message)
+
+
 def test_unipotent_matrix_is_equal_to_the_identity(tmp_path, capsys):
     # [[0, 1], [-1, 2]] is conjugate to the Jordan block [[1, 1], [0, 1]],
     # so its moduli are those of its hyperbolic part, the identity

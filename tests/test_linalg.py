@@ -132,6 +132,11 @@ class TestEigenSpectrum:
 
 
 class TestSpectralProjectors:
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, complex(1, math.inf)])
+    def test_non_finite_entries_are_refused(self, bad):
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            spectral_projectors([[1.0, bad], [0.0, 1.0]])
+
     def test_diagonal(self):
         d = spectral_projectors(np.diag([2.0, 3.0]))
         by_value = {round(v.real): p
@@ -281,6 +286,12 @@ class TestLapackCalls:
 
 
 class TestAsMatrix:
+    @pytest.mark.parametrize("a", [[1.0, 2.0], [[1.0, 2.0]], np.zeros((0, 0)),
+                                   np.zeros((2, 2, 2))])
+    def test_non_square_input_is_refused(self, a):
+        with pytest.raises(ValueError, match="^expected a square matrix, got shape "):
+            as_matrix(a)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda n: st.lists(
         st.one_of(FRACTIONS, st.complex_numbers(max_magnitude=10 ** 6,

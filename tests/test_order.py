@@ -838,18 +838,35 @@ class TestSeparatingSymPower:
         with pytest.raises(AssertionError):
             separating_sym_power([F(11, 10), F(10, 11)], [F(1), F(1)])
 
-    def test_tie_in_the_chain_is_settled_by_evaluation(self, monkeypatch):
-        # 2^1 = binom(2, 1) * 1^1: the chain cannot decide at m = 1
+    def test_tie_in_the_chain_fails_the_check(self, monkeypatch):
+        # 2^1 = binom(2, 1) * 1^1: the chain cannot decide at m = 1. A proven
+        # paper degree leaves the chain a gap of at least log(m + n), so a
+        # tie there is an internal error, not a case to evaluate
         monkeypatch.setattr(order, "_least_paper_degree", lambda *args: 1)
-        calls = []
-        h_compare = order._h_compare
-        monkeypatch.setattr(order, "_h_compare",
-                            lambda m, cv, dv: calls.append(m) or h_compare(m, cv, dv))
-        assert separating_sym_power([F(2), F(1, 2)], [F(1), F(1)]) == (1, 1)
-        assert calls == [1]
-        monkeypatch.setattr(order, "_h_compare", lambda m, cv, dv: (0, F(5, 2), F(2)))
-        with pytest.raises(AssertionError):
+        with pytest.raises(AssertionError, match="the paper degree failed to separate"):
             separating_sym_power([F(2), F(1, 2)], [F(1), F(1)])
+
+    @pytest.mark.parametrize("c, d", [
+        ([F(2), F(1, 2)], [F(2), F(1, 4)]),
+        ([2.0, 0.5], [2.0, 0.25]),
+        ([2.0, 0.5], [F(2), F(1, 4)]),  # a float and a Fraction compare exactly
+        ([math.inf, 1.0], [2.0, 0.5]),  # no paper degree past float range
+    ])
+    def test_radii_that_do_not_separate_are_refused(self, c, d):
+        with pytest.raises(NotSeparable, match="^spectral radii do not separate: c = "):
+            separating_sym_power(c, d)
+
+    def test_exact_scan_continues_one_pass_per_side(self, monkeypatch):
+        # h_m differs inside the tie band at every degree up to 1334, where
+        # the exact values decide; the scan continues one _h_exact pass per
+        # side rather than starting one per in-band degree
+        passes = []
+        h_exact = symchar._h_exact
+        monkeypatch.setattr(symchar, "_h_exact",
+                            lambda a, m: passes.append(m) or h_exact(a, m))
+        c, d = [2 + F(1, 10 ** 12), F(1, 2) - F(1, 10 ** 9)], [F(2), F(1, 2)]
+        assert separating_sym_power(c, d, m_limit=20000) == (1334, 129994038841090)
+        assert len(passes) <= 2
 
 
 def test_float_tie_band_above_the_exact_degree_limit():
@@ -958,6 +975,16 @@ class TestFindSeparatingCharacter:
             find_separating_character(x, y, dim_cap=1)
         assert "level 1: degree budget 0 < 1" in str(exc.value)
         assert advice in str(exc.value)
+
+    def test_near_identity_pair(self):
+        # the radii of Ext^1 are 5e-11 relative apart; compared exactly,
+        # they separate, and degree 1 does
+        x = [1.001, 1.0, 0.9990009990009991]
+        y = [1.0010000000500499, 1.0, 0.9990009989510491]
+        assert kostant_compare(x, y) == order.OrderVerdict(LEQ, failing_level=1)
+        w = find_separating_character(x, y)
+        assert (w.k, w.m, w.dimension) == (1, 1, 3)
+        assert w.chi_1 == 3.0000009990009993 < w.chi_2 == 3.0000009990010987
 
     def test_paper_degree_past_the_old_search_range(self):
         # h_1 separates; the paper degree, above 10^15, bounds the scan

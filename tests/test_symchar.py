@@ -583,6 +583,13 @@ class TestSpectralRadiusRep:
         x = ModuliVector.from_values([F(4), F(1, 2), F(1, 2)])
         assert spectral_radius_rep(Tensor(Sym(1), Ext(2)), x) == 8
 
+    @pytest.mark.parametrize("spec, radius", [
+        (Sym(2), 9.0), (Ext(2), 1.5), (Schur(Partition((2, 1))), 4.5)])
+    def test_float_vector_holding_a_fraction_gets_a_float_radius(self, spec, radius):
+        # a vector with a float entry is float-mode, its Fraction entries too
+        value = spectral_radius_rep(spec, [F(3), 0.5])
+        assert value == radius and type(value) is float
+
     def test_matches_max_of_moduli(self, rng):
         x = random_sl_moduli(rng, 4)
         for spec in [Sym(3), Ext(2), Schur(Partition((3, 1))),
