@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from itertools import accumulate
 from operator import mul, sub
 
@@ -43,6 +43,7 @@ from .errors import (
     LengthMismatch,
     NotSeparable,
     OrderHolds,
+    Overflow,
     ParseError,
     SumMismatch,
 )
@@ -461,12 +462,14 @@ class _LogRatio:
 
     @classmethod
     def of(cls, c, d) -> "_LogRatio":
-        ratio = Fraction(c) / Fraction(d)
-        if ratio < 2:
-            log_ratio = math.log1p(float(ratio - 1))
+        """The fields of Fraction(c) / Fraction(d), from one reduced Fraction."""
+        (p_c, q_c), (p_d, q_d) = c.as_integer_ratio(), d.as_integer_ratio()
+        num, den = (ratio := Fraction(p_c * q_d, q_c * p_d)).as_integer_ratio()
+        if num < 2 * den:
+            log_ratio = math.log1p((num - den) / den)
             return cls(ratio, log_ratio, log_ratio)
         # the ratio may not fit a float; take logs of the integers
-        log_num, log_den = math.log(ratio.numerator), math.log(ratio.denominator)
+        log_num, log_den = math.log(num), math.log(den)
         return cls(ratio, log_num - log_den, abs(log_num) + abs(log_den))
 
     def sign(self, m: int, log_bound: float) -> int:
@@ -481,11 +484,12 @@ class _LogRatio:
 def _least_paper_degree(c, d, n: int, log_ratio: _LogRatio | None = None) -> int:
     """Least m >= 1 with (c/d)^m > (m+n)^n, for c > d > 0.
 
-    The log-gap m*log(c/d) - n*log(m+n), with log(c/d) = log1p((c-d)/d)
-    from the exact ratio, is convex and nonpositive at 0: exponential and
-    binary search find its final segment. Floats decide outside a rigorous
-    rounding band; inside it exact integers do, up to PAPER_EXACT_LIMIT,
-    above which an in-band m counts as unproven.
+    The log-gap f(m) = m*log(c/d) - n*log(m+n), with log(c/d) from the exact
+    ratio, is convex and nonpositive at 0. Floats decide it outside a rigorous
+    band, exact integers inside it up to PAPER_EXACT_LIMIT (unproven above); the
+    proven m form a final segment. Newton steps from the right of f's root (f,
+    f' > 0) estimate it; the next integer is the segment's first when it is
+    proven and the one below it is not. Else exponential and binary search.
     """
     log_ratio = log_ratio or _LogRatio.of(c, d)
     ratio = log_ratio.ratio
@@ -497,6 +501,12 @@ def _least_paper_degree(c, d, n: int, log_ratio: _LogRatio | None = None) -> int
         return m <= PAPER_EXACT_LIMIT and \
             ratio.numerator ** m > (m + n) ** n * ratio.denominator ** m
 
+    if (r := log_ratio.log) > 0:  # from 2A log(A + n + 1) + 1, A = n / r
+        root = 2 * n / r * math.log(n / r + n + 1) + 1
+        for _ in range(5):
+            root -= (root * r - n * math.log(root + n)) / (r - n / (root + n))
+        if root < 2.0 ** 60 and proven(m := math.floor(root) + 1) and not proven(m - 1):
+            return m
     hi = 1
     while not proven(hi):
         hi *= 2
@@ -575,19 +585,18 @@ def find_separating_character(
     dim_cap are skipped in favour of later failing levels. Raises
     OrderHolds when x >= y, and DimensionCap when no failing level gives
     a witness (near-comparable pairs genuinely require enormous symmetric
-    powers); its message names each level with the reason it was skipped,
-    a degree budget below 1 or the NotSeparable reason of its degree scan.
+    powers); its message names each level with the reason it was skipped:
+    a degree budget below 1, an Ext^k modulus past float range, or NotSeparable.
     """
     xv, yv = _normalize_sl(_as_moduli(x)), _normalize_sl(_as_moduli(y))
     if xv.n != yv.n:
         raise LengthMismatch(f"lengths {xv.n} != {yv.n}")
     comparisons = _normalized_prefix_comparisons(xv, yv)
-    verdict = _verdict(comparisons)
-    if verdict.relation in (GEQ, EQUAL):
-        raise OrderHolds(f"x dominates y (relation {verdict.relation}); "
+    failing = [k for k, c in enumerate(comparisons, start=1) if c < 0]
+    if not failing:
+        raise OrderHolds(f"x dominates y (relation {_verdict(comparisons).relation}); "
                          "no separating character exists")
     n = xv.n
-    failing = [k for k, c in enumerate(comparisons, start=1) if c < 0]
 
     skipped = []
     for k in failing:
@@ -597,11 +606,11 @@ def find_separating_character(
             skipped.append(f"level {k}: degree budget {m_budget} < 1 "
                            f"(Ext^{k} alone has dimension {ext_dim})")
             continue
-        ext_x = rep_moduli(Ext(k), xv, cap=None)
-        ext_y = rep_moduli(Ext(k), yv, cap=None)
         try:
+            ext_x = rep_moduli(Ext(k), xv, cap=None)
+            ext_y = rep_moduli(Ext(k), yv, cap=None)
             m_min, m_paper = separating_sym_power(ext_y, ext_x, m_limit=m_budget)
-        except NotSeparable as exc:
+        except (NotSeparable, Overflow) as exc:
             skipped.append(f"level {k}: {exc}")
             continue
         sign, chi_2, chi_1 = _h_compare(m_min, ext_y, ext_x)
@@ -621,9 +630,10 @@ def find_separating_character(
 MAX_SYM_DEGREE = 10 ** 6
 
 
+@lru_cache
 def _degree_budget(ext_dim: int, dim_cap: int | None) -> int | None:
     """Largest symmetric degree m <= MAX_SYM_DEGREE keeping
-    comb(m + N - 1, N - 1) <= cap."""
+    comb(m + N - 1, N - 1) <= cap; searched once per recent (N, cap) pair."""
     if dim_cap is None:
         return None
     lo, hi = 0, MAX_SYM_DEGREE  # comb(N - 1, N - 1) = 1 <= cap always

@@ -35,8 +35,8 @@ integers; _ExactH reads it at rising degrees from one pass, begun at
 its first read. The spectral radius of a Sym, Ext or Schur leaf is one
 dominant weight (_dominant_weight).
 complete_homogeneous, schur, abs_character and spectral_radius_rep raise
-Overflow exactly when a float value is not finite;
-complete_homogeneous_log has no such limit.
+Overflow exactly when a float value is not finite, and rep_moduli when a
+float modulus is 0 or not finite; complete_homogeneous_log has no such limit.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from collections import deque, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, product
@@ -385,7 +385,9 @@ def _h_scan(values: tuple[float, ...], m_max: int):
 
 
 def _last(rows):
-    return deque(rows, maxlen=1)[0]
+    for row in rows:
+        pass
+    return row
 
 
 def _scaled_to_log(log_x1: float, m: int, h: float, shift: int) -> float:
@@ -592,11 +594,14 @@ def rep_moduli(spec: RepSpec, x, cap: int | None = DEFAULT_MODULI_CAP) -> Moduli
     Schur the weights of Gelfand-Tsetlin patterns (_schur_moduli), Tensor
     pairwise products, DirectSum concatenation, Compose evaluates outer
     on the inner moduli. Only cap bounds the size. Result sorted
-    non-increasing.
+    non-increasing; Overflow when a float modulus leaves (0, inf).
     """
     x = _as_moduli(x)
     _check_cap(spec, x.n, cap)
-    return ModuliVector.from_values(_walk(spec, x, _MODULI, cap))
+    values = _walk(spec, x, _MODULI, cap)
+    if not x.exact and not 0 < min(values) <= max(values) < math.inf:
+        raise Overflow(f"moduli of {spec} leave float range")
+    return ModuliVector.from_values(values)
 
 
 def _products(choose, x: ModuliVector, degree: int) -> list:

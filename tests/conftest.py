@@ -266,6 +266,31 @@ def verify_functional(func, x, y) -> bool:
     return margin > 0 and margin == func.margin
 
 
+def paper_degree_by_search(c, d, n: int) -> int:
+    """Least m >= 1 that the order's rounding band proves to have
+    (c/d)^m > (m+n)^n, for c > d > 0, by plain exponential and binary
+    search over the proven predicate of order._least_paper_degree: the
+    float sign of m log(c/d) - n log(m+n) outside its band, exact integers
+    inside it up to PAPER_EXACT_LIMIT, unproven above."""
+    from kostant.order import PAPER_EXACT_LIMIT, _LogRatio
+
+    log_ratio = _LogRatio.of(c, d)
+    p, q = log_ratio.ratio.numerator, log_ratio.ratio.denominator
+
+    def proven(m: int) -> bool:
+        sign = log_ratio.sign(m, n * math.log(m + n))
+        return sign > 0 if sign else m <= PAPER_EXACT_LIMIT and p ** m > (m + n) ** n * q ** m
+
+    hi = 1
+    while not proven(hi):
+        hi *= 2
+    lo = hi // 2
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if proven(mid) else (mid, hi)
+    return hi
+
+
 def normalized_prefix_oracle(x, y) -> list[int]:
     """Signs of P_k(x)^n P(y)^k - P_k(y)^n P(x)^k, k = 1..n-1, in Fractions:
     the per-level comparisons of the normalized prefix products of the

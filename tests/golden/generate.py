@@ -240,6 +240,18 @@ def build_cases() -> list[dict]:
     add("error-bad-index", "char", {"ext": 4}, three)
     add("error-bad-spec", "char", {"sym": True}, three)
     add("error-overflow-char", "char", {"sym": 2000}, moduli([3.0, 1 / 3]))
+
+    # witnesses with paper degrees from 2^11 to 2^16.5, across
+    # PAPER_EXACT_LIMIT = 20000: y moves the largest log of x up by t and
+    # the smallest down by t, so level 1 fails with radius ratio e^t, and
+    # t puts the root of m t = n log(m + n) at the stratum
+    for i in range(12):
+        n, degree = 2 + i % 4, 2 ** (11 + i / 2)
+        t = n * math.log(degree + n) / degree
+        logs = sorted((math.log(v) for v in float_sl(rng, n)), reverse=True)
+        moved = [logs[0] + t, *logs[1:-1], logs[-1] - t]
+        add(f"paper-stratum-n{n}-{i}-witness", "witness",
+            moduli([math.exp(v) for v in logs]), moduli([math.exp(v) for v in moved]))
     return cases
 
 

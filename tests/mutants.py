@@ -164,6 +164,45 @@ MUTANTS = (
            "if not _nilpotent_about_mean(t[b, b], bound):", "if False:", (
                "tests/test_cmjd.py::TestCmjdJordanBlocks"
                "::test_coupled_pair_beyond_rounding_stays_split",)),
+    # constants that tier-1 pinned before they were listed, and the two it did not
+    Mutant("merge-radius-wide", LINALG, "MERGE_RADIUS = 1e-3", "MERGE_RADIUS = 1e-1", (
+        "tests/test_cmjd.py::TestCmjdJordanBlocks::test_direct_sums_match_construction",
+        "tests/test_cmjd.py::TestCmjdJordanBlocks::test_jordan_block_validates_or_raises",
+        "tests/test_linalg.py::TestSpectralProjectors::test_norm_cap_raises")),
+    Mutant("paper-exact-limit-zero", ORDER, "PAPER_EXACT_LIMIT = 20_000",
+           "PAPER_EXACT_LIMIT = 0", (
+               "tests/test_order.py::TestSeparatingSymPower"
+               "::test_paper_degree_matches_exact_scan",)),
+    Mutant("chain-threshold-wide", ORDER, "else 1e-14 * scale", "else 1e-8 * scale", (
+        "tests/test_order.py::TestNearTies::test_one_verdict_per_pair",
+        "tests/test_order.py::TestNearTies::test_product_far_from_one",
+        "tests/test_golden.py::test_report_matches_the_corpus[near-float-1e-10-rev-certify]")),
+    Mutant("singularity-threshold-low", LINALG, "SINGULARITY_THRESHOLD = 1e-13",
+           "SINGULARITY_THRESHOLD = 1e-16", (
+               "tests/test_cmjd.py::TestCmjdExamples"
+               "::test_singularity_is_relative_to_the_largest_modulus",)),
+    Mutant("normalize-sl-wide", ORDER, "1e-9 * (sum(map(abs, logs)) + 1)",
+           "1e-3 * (sum(map(abs, logs)) + 1)", (
+               "tests/test_order.py::TestFindSeparatingCharacter"
+               "::test_float_product_off_one_is_normalized",)),
+    # float Ext moduli past float range: refused, and their level skipped
+    Mutant("rep-moduli-range-unchecked", SYMCHAR,
+           "if not x.exact and not 0 < min(values) <= max(values) < math.inf:", "if False:", (
+               "tests/test_symchar.py::TestRepModuli"
+               "::test_float_moduli_past_float_range_overflow",)),
+    Mutant("overflow-level-not-skipped", ORDER, "except (NotSeparable, Overflow) as exc:",
+           "except NotSeparable as exc:", (
+               "tests/test_order.py::TestFindSeparatingCharacter"
+               "::test_ext_moduli_past_float_range_skip_their_level",)),
+    # the paper degree from a checked estimate: both checks are needed
+    Mutant("paper-estimate-unchecked-below", ORDER, "and not proven(m - 1)", "and True", (
+        "tests/test_order.py::TestSeparatingSymPower::test_root_just_below_an_integer",)),
+    Mutant("paper-estimate-unchecked", ORDER,
+           "proven(m := math.floor(root) + 1) and not proven(m - 1)",
+           "(m := math.floor(root) + 1)", (
+               "tests/test_order.py::TestSeparatingSymPower::test_root_just_below_an_integer",
+               "tests/test_order.py::TestSeparatingSymPower"
+               "::test_paper_degree_matches_the_search")),
 )
 
 

@@ -215,6 +215,19 @@ def test_dim_cap_reaches_the_witness_search(inputs, capsys):
         in report["message"]
 
 
+def test_ext_moduli_past_float_range_are_a_skipped_level(tmp_path, capsys):
+    # the Ext^2 moduli 1e-150 * 1e-200 underflow to 0: the witness search
+    # skips level 2 for that reason, where it used to end in NonPositive
+    (tmp_path / "x.json").write_text(json.dumps({"values": [1e200, 1e150, 1e-150, 1e-200]}))
+    (tmp_path / "y.json").write_text(json.dumps({"values": [1e190, 1e190, 1e-180, 1e-200]}))
+    files = ["--g1", str(tmp_path / "x.json"), "--g2", str(tmp_path / "y.json")]
+    code, report = run_json(["order", *files], capsys)
+    assert (report["relation"], report["failing_level"]) == ("INCOMPARABLE", 2)
+    code, report = run_json(["witness", "--h1", files[1], "--h2", files[3]], capsys)
+    assert (code, report["error"]) == (2, "DimensionCap")
+    assert "level 2: moduli of Ext(k=2) leave float range" in report["message"]
+
+
 def test_dimension_cap_names_the_reason_of_each_level(tmp_path, capsys):
     # an exact pair that h_1 separates, refused because the float log of
     # its radius ratio 1 + 10^-400 is 0, so no paper degree is proven: the

@@ -60,6 +60,13 @@ class TestCmjdExamples:
         with pytest.raises(Singular):
             cmjd(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
+    def test_singularity_is_relative_to_the_largest_modulus(self):
+        # eigenvalue moduli 1e-14 apart relative to the largest are
+        # numerically singular; 1e-12 apart they are not
+        with pytest.raises(Singular):
+            cmjd(np.diag([1e7, 1e-7]))
+        assert np.allclose(np.diag(cmjd(np.diag([1e6, 1e-6])).hyperbolic), [1e6, 1e-6])
+
 
 class TestCmjdProperties:
     def test_roundtrip_residuals(self, rng):

@@ -45,7 +45,14 @@ from kostant import (
     verify_certificate,
 )
 from kostant import cli, order, symchar
-from kostant.order import PAPER_EXACT_LIMIT, _h_sign, _least_paper_degree, _LogRatio
+from kostant.order import (
+    MAX_SYM_DEGREE,
+    PAPER_EXACT_LIMIT,
+    _degree_budget,
+    _h_sign,
+    _least_paper_degree,
+    _LogRatio,
+)
 
 from conftest import (
     brute_force_h,
@@ -54,6 +61,7 @@ from conftest import (
     hull_member_oracle,
     mixed_logs,
     normalized_prefix_oracle,
+    paper_degree_by_search,
     random_sl_moduli,
     rational_zero_sum_logs,
     verify_functional,
@@ -775,6 +783,65 @@ class TestSeparatingSymPower:
             m += 1
         assert _least_paper_degree(ratio * d, d, n) == m
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 20), st.floats(-12, 3), st.floats(-5, 5),
+           st.sampled_from(["float", "rational", "mixed"]))
+    def test_paper_degree_matches_the_search(self, n, log10_gap, log_d, kind):
+        # log(c/d) from 1e-12 to 1e3: the estimate and its check give the
+        # degree that exponential and binary search give
+        gap = 10.0 ** log10_gap
+        c, d = math.exp(log_d + gap / 2), math.exp(log_d - gap / 2)
+        if kind == "mixed":  # a Fraction against a float
+            c = F(c)
+        elif kind == "rational":
+            d = F(math.exp(log_d)).limit_denominator(10 ** 6)
+            c = d * (F(math.exp(gap / 8)) ** 8 if gap > 1 else
+                     1 + F(math.expm1(gap)).limit_denominator(10 ** 15))
+        assert c > d
+        assert _least_paper_degree(c, d, n) == paper_degree_by_search(c, d, n)
+
+    @pytest.mark.parametrize("k, j", [(3, 1), (4, 1), (5, 1), (10, 1), (12, 1),
+                                      (3, 2), (7, 2), (9, 2)])
+    def test_root_just_below_an_integer(self, k, j):
+        # for c/d = ((j + 1) k)^j and n = j k the root of
+        # m log(c/d) = n log(m + n) is k exactly; a ratio 1e-20 above that
+        # moves it just below k, so k is the least proven degree, but the
+        # estimate's floats land on k or past it, and only the check of
+        # the degree below the estimate finds k
+        n, c = j * k, F((j + 1) * k) ** j * (1 + F(1, 10 ** 20))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            gap = lambda m: m * (Decimal(c.numerator) / c.denominator).ln() \
+                - n * (m + n).ln()
+            assert gap(Decimal(k)) > 0 > gap(Decimal(k) - Decimal("1e-3"))
+        assert _least_paper_degree(c, F(1), n) == paper_degree_by_search(c, F(1), n) == k
+
+    @pytest.mark.parametrize("c, d", [
+        (3.0, 2.0), (2.0 ** 600, 3.0), (1 + 2.0 ** -52, 1.0), (F(7, 3), F(2, 9)),
+        (F(10 ** 400 + 1, 10 ** 400), F(1)), (2.5, F(1, 3)), (F(5, 2), 0.1),
+        (F(3), 1e-300)])
+    def test_log_ratio_fields_are_those_of_the_fraction_quotient(self, c, d):
+        ratio = F(c) / F(d)
+        if ratio < 2:
+            log = math.log1p(float(ratio - 1))
+            reference = _LogRatio(ratio, log, log)
+        else:
+            log_num, log_den = math.log(ratio.numerator), math.log(ratio.denominator)
+            reference = _LogRatio(ratio, log_num - log_den, abs(log_num) + abs(log_den))
+        assert repr(_LogRatio.of(c, d)) == repr(reference)
+
+    @pytest.mark.parametrize("cap", [1, 10 ** 6, None])
+    def test_degree_budget_is_the_largest_degree_under_the_cap(self, cap):
+        for ext_dim in sorted({math.comb(n, k) for n in range(1, 9) for k in range(n + 1)}):
+            budget = _degree_budget(ext_dim, cap)
+            if cap is None:
+                assert budget is None
+                continue
+            assert math.comb(budget + ext_dim - 1, ext_dim - 1) <= cap
+            assert budget == MAX_SYM_DEGREE or \
+                math.comb(budget + ext_dim, ext_dim - 1) > cap
+            assert _degree_budget(ext_dim, cap) == budget
+
     def test_ratio_near_one_returns_promptly(self):
         # The paper degree is ~6.4e13 here; it must come from the float
         # band, not from exact powers of that size.
@@ -975,6 +1042,29 @@ class TestFindSeparatingCharacter:
             find_separating_character(x, y, dim_cap=1)
         assert "level 1: degree budget 0 < 1" in str(exc.value)
         assert advice in str(exc.value)
+
+    @pytest.mark.parametrize("x, y", [
+        ([1e200, 1e150, 1e-150, 1e-200], [1e190, 1e190, 1e-180, 1e-200]),
+        ([1e300, 1e10, 1e-10, 1e-300], [1e250, 1e250, 1e-250, 1e-250]),
+        ([1e300, 1e-100, 1e-100, 1e-100], [1e200, 1e200, 1e-200, 1e-200]),
+        ([1e200, 1e-50, 1e-150], [1e160, 1e160, 1e-320]),
+    ])
+    def test_ext_moduli_past_float_range_skip_their_level(self, x, y):
+        # an Ext^2 modulus underflows to 0 or overflows to inf: the search
+        # records the level as skipped for that reason and goes on
+        assert kostant_compare(x, y).relation == INCOMPARABLE
+        with pytest.raises(DimensionCap) as exc:
+            find_separating_character(x, y)
+        assert "level 2: moduli of Ext(k=2) leave float range" in str(exc.value)
+
+    def test_float_product_off_one_is_normalized(self):
+        # x has product 1 + 1e-6: the witness and its characters are those
+        # of x scaled to product 1, not of x as given
+        x = ModuliVector.from_values([2.0, 0.5 * (1 + 1e-6)])
+        y = [3.0, 1 / 3]
+        w = find_separating_character(x, y)
+        assert (w.k, w.m) == (1, 1)
+        assert w.chi_1 == sum(x.normalized().values) != sum(x.values)
 
     def test_near_identity_pair(self):
         # the radii of Ext^1 are 5e-11 relative apart; compared exactly,

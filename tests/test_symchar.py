@@ -448,6 +448,17 @@ class TestRepModuli:
             assert [type(v) for v in rep_moduli(spec, x).values] == [kind]
             assert type(spectral_radius_rep(spec, x)) is kind
 
+    @pytest.mark.parametrize("x", [[1e200, 1.0], [1.0, 1e-200]])
+    def test_float_moduli_past_float_range_overflow(self, x):
+        # (1e200)^2 is inf and (1e-200)^2 is 0: neither is a modulus
+        spec = Compose(Sym(2), Ext(1))
+        with pytest.raises(Overflow, match=r"^moduli of Compose\("):
+            rep_moduli(spec, x)
+        exact = rep_moduli(spec, [Fraction(v) for v in x])
+        assert exact.values == tuple(sorted(
+            (Fraction(a) * Fraction(b) for a, b in ((x[0], x[0]), (x[0], x[1]), (x[1], x[1]))),
+            reverse=True))
+
     def test_ext_pairwise_products(self):
         v = rep_moduli(Ext(2), [F(4), F(1, 2), F(1, 2)])
         assert v.values == (F(2), F(2), F(1, 4))
